@@ -15,6 +15,7 @@ from crossingsim.scenario import (
     to_observation,
 )
 from crossingsim.mixture import (
+    Conditioner,
     FitConfig,
     GaussianComponent,
     GaussianMixture,
@@ -68,6 +69,7 @@ __all__ = [
     "bic",
     "select_components",
     "conditional_mode",
+    "Conditioner",
     "ArrivalSchedule",
     "sample_arrivals",
     "decide_walk_speed",

@@ -18,7 +18,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from crossingsim.mixture import ConditioningError, GaussianMixture, conditional_mode
+from crossingsim.mixture import (
+    Conditioner,
+    ConditioningError,
+    GaussianMixture,
+    conditional_mode,
+)
 from crossingsim.scenario import (
     Kinematics,
     OBS_INV_RANGE,
@@ -472,6 +477,14 @@ class HumanDriver:
         self._held = StrategyDecision(acceleration=0.0)
         self._recovering = True
         self._search = self._speed_interval(model)
+        # Built once; without it every conditioning attempt falls back.
+        self._conditioner: Optional[Conditioner] = None
+        try:
+            self._conditioner = Conditioner(
+                model, [OBS_INV_RANGE, OBS_WALK_SPEED, OBS_INV_TIME_ADVANTAGE]
+            )
+        except ValueError:  # ConditioningError included
+            pass
 
     @staticmethod
     def _speed_interval(model: GaussianMixture) -> tuple[float, float]:
@@ -505,6 +518,8 @@ class HumanDriver:
                 acceleration=accel, desired_speed=self.params.free_flow_speed
             )
         self._recovering = False
+        if self._conditioner is None:
+            return StrategyDecision(acceleration=0.0, fallback=True)
         try:
             adv = time_advantage(
                 Kinematics(
@@ -516,9 +531,8 @@ class HumanDriver:
             )
             if adv == 0.0:
                 raise ValueError("zero time advantage")
-            conditional = self.model.condition(
-                [OBS_INV_RANGE, OBS_WALK_SPEED, OBS_INV_TIME_ADVANTAGE],
-                [1.0 / longitudinal_gap, governing.walk_speed, 1.0 / adv],
+            conditional = self._conditioner(
+                [1.0 / longitudinal_gap, governing.walk_speed, 1.0 / adv]
             )
             desired = conditional_mode(conditional, self._search)
         except (ConditioningError, ValueError, ZeroDivisionError):

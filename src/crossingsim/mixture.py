@@ -46,6 +46,7 @@ __all__ = [
     "bic",
     "select_components",
     "conditional_mode",
+    "Conditioner",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -193,11 +194,10 @@ def _x_times_pdf(x: float) -> float:
     return x * _std_pdf(x)
 
 
-def _interval_mass(alpha: float, beta: float) -> float:
-    # Difference of normal CDFs, evaluated on whichever tail avoids cancellation.
-    if alpha >= 0.0:
-        return float(ndtr(-alpha) - ndtr(-beta))
-    return float(ndtr(beta) - ndtr(alpha))
+def _interval_mass(alpha, beta):
+    # Difference of normal CDFs, evaluated on whichever tail avoids
+    # cancellation; elementwise on arrays.
+    return np.where(alpha >= 0.0, ndtr(-alpha) - ndtr(-beta), ndtr(beta) - ndtr(alpha))
 
 
 def _moments_1d(mean: float, var: float, lo: float, hi: float) -> TruncatedMoments:
@@ -205,7 +205,7 @@ def _moments_1d(mean: float, var: float, lo: float, hi: float) -> TruncatedMomen
     sigma = math.sqrt(var)
     alpha = (lo - mean) / sigma if math.isfinite(lo) else -math.inf
     beta = (hi - mean) / sigma if math.isfinite(hi) else math.inf
-    mass = _interval_mass(alpha, beta)
+    mass = float(_interval_mass(alpha, beta))
     if mass < 1e-300:
         raise DegenerateTruncationError(
             f"box [{lo}, {hi}] captures mass {mass} of N({mean}, {var})"
@@ -311,6 +311,52 @@ def truncated_moments(
 _WEIGHT_SUM_TOL = 1e-12
 
 
+def _log_weights(weights: np.ndarray) -> np.ndarray:
+    # Conditioning can underflow a weight to exactly 0; log it as -inf
+    # without tripping numpy's divide warning.
+    return np.where(weights > 0, np.log(np.maximum(weights, 1e-300)), -np.inf)
+
+
+def _doc_field(doc: dict, key: str, kind: type):
+    """``doc[key]``, which must be a ``kind`` (bools are not numbers)."""
+    if key not in doc:
+        raise ValueError(f"model document lacks {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _doc_count(doc: dict, key: str) -> int:
+    value = _doc_field(doc, key, int)
+    if value < 1:
+        raise ValueError(f"{key!r} must be positive, got {value}")
+    return value
+
+
+def _floats(value: object, what: str, nulls: Optional[float] = None) -> np.ndarray:
+    """Nested JSON lists of numbers as a float array.
+
+    Nulls become ``nulls`` where that is given.  Any other entry that is
+    not a number, a number out of float range, or ragged nesting raises
+    ValueError.
+    """
+
+    def number(entry: object) -> object:
+        if isinstance(entry, list):
+            return [number(e) for e in entry]
+        if entry is None and nulls is not None:
+            return nulls
+        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise ValueError(f"{what} holds {entry!r}, expected a number")
+        try:
+            return float(entry)
+        except OverflowError as exc:
+            raise ValueError(f"{what} holds {entry}, out of float range") from exc
+
+    return np.asarray(number(value), dtype=float)
+
+
 class GaussianMixture:
     """Weighted Gaussian mixture, optionally truncated to a box.
 
@@ -359,6 +405,32 @@ class GaussianMixture:
         self.fit_seed = fit_seed
         self._chols: Optional[np.ndarray] = None
         self._box_masses: Optional[np.ndarray] = None
+
+    @classmethod
+    def _trusted(
+        cls,
+        weights: np.ndarray,
+        means: np.ndarray,
+        covariances: np.ndarray,
+        truncation: Optional[TruncationBox],
+        chols: np.ndarray,
+    ) -> "GaussianMixture":
+        """Wrap parameters that are valid by construction, skipping the checks.
+
+        The arrays are stored as given (and made read-only), not copied;
+        ``chols`` are the Cholesky factors of ``covariances``.
+        """
+        model = cls.__new__(cls)
+        for arr in (weights, means, covariances, chols):
+            arr.setflags(write=False)
+        model.weights = weights
+        model.means = means
+        model.covariances = covariances
+        model.truncation = truncation
+        model.fit_seed = None
+        model._chols = chols
+        model._box_masses = None
+        return model
 
     # -- basic introspection ------------------------------------------------
 
@@ -424,11 +496,30 @@ class GaussianMixture:
         Exact for 1-D or unbounded boxes; otherwise seeded Monte Carlo.
         The default-precision result is cached because it normalizes
         every truncated density evaluation.
+
+        Raises:
+            DegenerateTruncationError: as :func:`truncated_moments`, for
+                any one component.
         """
         if self.truncation is None or self.truncation.is_unbounded:
             return np.ones(self.n_components)
         if self._box_masses is not None and n_accepted == 20_000:
             return self._box_masses
+        if self.dim == 1:
+            # The closed form of truncated_moments, for all components at once.
+            means = self.means[:, 0]
+            sds = np.sqrt(self.covariances[:, 0, 0])
+            masses = _interval_mass(
+                (self.truncation.lower[0] - means) / sds,
+                (self.truncation.upper[0] - means) / sds,
+            )
+            if (masses < 1e-300).any():
+                k = int(np.argmin(masses))
+                raise DegenerateTruncationError(
+                    f"box captures mass {masses[k]} of component {k}"
+                )
+            self._box_masses = masses
+            return masses
         masses = np.array(
             [
                 truncated_moments(
@@ -467,10 +558,9 @@ class GaussianMixture:
     def log_density_rows(self, rows: np.ndarray) -> np.ndarray:
         """Log mixture density per row; -inf outside the truncation box."""
         rows = np.asarray(rows, dtype=float)
-        # Conditioning can underflow a weight to exactly 0; log it as -inf
-        # without tripping numpy's divide warning.
-        log_w = np.where(self.weights > 0, np.log(np.maximum(self.weights, 1e-300)), -np.inf)
-        log_mix = logsumexp(self._component_log_densities(rows) + log_w, axis=1)
+        log_mix = logsumexp(
+            self._component_log_densities(rows) + _log_weights(self.weights), axis=1
+        )
         if self.truncation is not None:
             log_mix = log_mix - math.log(self.normalization())
             log_mix = np.where(self.truncation.contains(rows), log_mix, -np.inf)
@@ -531,64 +621,11 @@ class GaussianMixture:
     ) -> "GaussianMixture":
         """Exact conditional mixture given values on a subset of dimensions.
 
-        Per component the conditional mean and covariance follow the
-        Gaussian conditioning identities; component weights are
-        reweighted by the untruncated marginal density of the observed
-        values (computed in log space, so far-out conditioning values
-        still renormalize) and the box is sliced to the free dimensions.
-
-        Raises:
-            ValueError: bad dimension subset, or observed values outside
-                the truncation box.
-            ConditioningError: observed-block covariance is singular.
+        Shorthand for ``Conditioner(self, observed_dims)(observed_values)``;
+        build the :class:`Conditioner` once to condition many times on
+        the same dimensions.
         """
-        obs = np.asarray(observed_dims, dtype=int)
-        vals = np.asarray(observed_values, dtype=float)
-        if obs.size == 0 or obs.size != np.unique(obs).size:
-            raise ValueError("observed_dims must be non-empty and unique")
-        if (obs < 0).any() or (obs >= self.dim).any():
-            raise ValueError(f"observed_dims out of range for dim {self.dim}")
-        if obs.size >= self.dim:
-            raise ValueError("observed_dims must be a proper subset of dimensions")
-        if vals.shape != (obs.size,) or not np.isfinite(vals).all():
-            raise ValueError("observed_values must be finite and match observed_dims")
-        free = np.setdiff1d(np.arange(self.dim), obs)
-        if self.truncation is not None:
-            obs_box = self.truncation.sliced(obs)
-            if not obs_box.contains(vals):
-                raise ValueError("observed values lie outside the truncation box")
-
-        n_k = self.n_components
-        cond_means = np.empty((n_k, free.size))
-        cond_covs = np.empty((n_k, free.size, free.size))
-        log_w = np.empty(n_k)
-        for k in range(n_k):
-            mu_o = self.means[k, obs]
-            mu_f = self.means[k, free]
-            sig_oo = self.covariances[k][np.ix_(obs, obs)]
-            sig_fo = self.covariances[k][np.ix_(free, obs)]
-            sig_ff = self.covariances[k][np.ix_(free, free)]
-            try:
-                chol_oo = np.linalg.cholesky(sig_oo)
-            except np.linalg.LinAlgError as exc:
-                raise ConditioningError(
-                    f"observed-block covariance of component {k} is singular"
-                ) from exc
-            delta = vals - mu_o
-            solved_delta = solve_triangular(chol_oo, delta, lower=True, check_finite=False)
-            solved_cross = solve_triangular(chol_oo, sig_fo.T, lower=True, check_finite=False)
-            cond_means[k] = mu_f + solved_cross.T @ solved_delta
-            cond_cov = sig_ff - solved_cross.T @ solved_cross
-            cond_covs[k] = 0.5 * (cond_cov + cond_cov.T)
-            log_det = np.log(np.diagonal(chol_oo)).sum()
-            log_w[k] = (
-                math.log(self.weights[k]) if self.weights[k] > 0 else -np.inf
-            ) - 0.5 * obs.size * _LOG_2PI - log_det - 0.5 * float(solved_delta @ solved_delta)
-        log_w = log_w - logsumexp(log_w)
-        new_w = np.exp(log_w)
-        new_w = new_w / new_w.sum()
-        box = self.truncation.sliced(free) if self.truncation is not None else None
-        return GaussianMixture(new_w, cond_means, cond_covs, truncation=box)
+        return Conditioner(self, observed_dims)(observed_values)
 
     # -- sampling -----------------------------------------------------------
 
@@ -671,33 +708,40 @@ class GaussianMixture:
             raise ValueError("not a crossingsim mixture document")
         if doc.get("version") != 1:
             raise ValueError(f"unsupported model version {doc.get('version')!r}")
-        dim = int(doc["dim"])
-        n_components = int(doc["n_components"])
-        weights = np.asarray(doc["weights"], dtype=float)
-        means = np.asarray(doc["means"], dtype=float)
-        covs_flat = doc["covariances"]
+        dim = _doc_count(doc, "dim")
+        n_components = _doc_count(doc, "n_components")
+        weights = _floats(_doc_field(doc, "weights", list), "weights")
+        means = _floats(_doc_field(doc, "means", list), "means")
+        if means.size != n_components * dim:
+            raise ValueError("means do not match n_components and dim")
+        covs_flat = _doc_field(doc, "covariances", list)
         if len(covs_flat) != n_components:
             raise ValueError("covariance count does not match n_components")
-        covariances = np.asarray(
-            [np.asarray(flat, dtype=float).reshape(dim, dim) for flat in covs_flat]
-        )
+        covariances = []
+        for k, flat in enumerate(covs_flat):
+            entries = _floats(flat, f"covariances[{k}]")
+            if entries.size != dim * dim:
+                raise ValueError(f"covariances[{k}] must have dim * dim entries")
+            covariances.append(entries.reshape(dim, dim))
         box_doc = doc.get("truncation")
         truncation = None
         if box_doc is not None:
-            lower = np.array(
-                [-np.inf if v is None else float(v) for v in box_doc["lower"]]
+            if not isinstance(box_doc, dict):
+                raise ValueError("truncation must be an object or null")
+            # Infinite bounds are written as nulls.
+            truncation = TruncationBox(
+                _floats(_doc_field(box_doc, "lower", list), "lower", nulls=-np.inf),
+                _floats(_doc_field(box_doc, "upper", list), "upper", nulls=np.inf),
             )
-            upper = np.array(
-                [np.inf if v is None else float(v) for v in box_doc["upper"]]
-            )
-            truncation = TruncationBox(lower, upper)
         fit_seed = doc.get("fit_seed")
+        if fit_seed is not None:
+            fit_seed = _doc_field(doc, "fit_seed", int)
         return cls(
             weights,
             means.reshape(n_components, dim),
-            covariances,
+            np.asarray(covariances),
             truncation=truncation,
-            fit_seed=None if fit_seed is None else int(fit_seed),
+            fit_seed=fit_seed,
         )
 
     def save(self, path) -> None:
@@ -708,6 +752,93 @@ class GaussianMixture:
     def load(cls, path) -> "GaussianMixture":
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_text(handle.read())
+
+
+class Conditioner:
+    """Exact conditioning of one mixture on a fixed set of observed dimensions.
+
+    Per component the conditional mean and covariance follow the
+    Gaussian conditioning identities; component weights are reweighted
+    by the untruncated marginal density of the observed values (in log
+    space, so far-out conditioning values still renormalize) and the box
+    is sliced to the free dimensions.
+
+    Everything that does not depend on the observed values is computed
+    once, stacked over the components: the Cholesky factor L of each
+    observed-block covariance, the regression matrix Sigma_fo Sigma_oo^-1,
+    the conditional covariance (validated here, once), the log-determinant,
+    the log-weights and the sliced boxes.  A call then costs one batched
+    product for the conditional means and the reweighting.
+
+    Raises:
+        ValueError: bad dimension subset, or a conditional covariance
+            that is not positive definite.
+        ConditioningError: an observed-block covariance is singular.
+    """
+
+    def __init__(self, model: GaussianMixture, observed_dims: Sequence[int]) -> None:
+        obs = np.asarray(observed_dims, dtype=int)
+        if obs.size == 0 or obs.size != np.unique(obs).size:
+            raise ValueError("observed_dims must be non-empty and unique")
+        if (obs < 0).any() or (obs >= model.dim).any():
+            raise ValueError(f"observed_dims out of range for dim {model.dim}")
+        if obs.size >= model.dim:
+            raise ValueError("observed_dims must be a proper subset of dimensions")
+        free = np.setdiff1d(np.arange(model.dim), obs)
+        covs = model.covariances
+        try:
+            chol = np.linalg.cholesky(covs[:, obs[:, None], obs])
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningError("an observed-block covariance is singular") from exc
+        whiten = np.linalg.inv(chol)  # L^-1, so |L^-1 d|^2 is the Mahalanobis term
+        cross = whiten @ covs[:, obs[:, None], free]  # L^-1 Sigma_of
+        cond_covs = covs[:, free[:, None], free] - cross.transpose(0, 2, 1) @ cross
+        cond_covs = 0.5 * (cond_covs + cond_covs.transpose(0, 2, 1))
+        for k in range(model.n_components):
+            _validate_covariance(cond_covs[k], f"conditional covariance[{k}]")
+        # Rows 0..f-1 map the offset from the observed mean to the shift of
+        # the conditional mean; rows f.. whiten it.
+        self._projection = np.concatenate(
+            [cross.transpose(0, 2, 1) @ whiten, whiten], axis=1
+        )
+        self._n_free = free.size
+        self._obs_means = model.means[:, obs]
+        self._free_means = model.means[:, free]
+        self._log_norms = (
+            _log_weights(model.weights)
+            - 0.5 * obs.size * _LOG_2PI
+            - np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        )
+        self._covariances = cond_covs
+        self._chols = np.linalg.cholesky(cond_covs)
+        self._obs_box = self._free_box = None
+        if model.truncation is not None:
+            self._obs_box = model.truncation.sliced(obs)
+            self._free_box = model.truncation.sliced(free)
+
+    def __call__(self, observed_values: Sequence[float]) -> GaussianMixture:
+        """Conditional mixture over the free dimensions, in ascending order.
+
+        Raises:
+            ValueError: values not finite, of the wrong length, or outside
+                the truncation box.
+        """
+        vals = np.asarray(observed_values, dtype=float)
+        if vals.shape != (self._obs_means.shape[1],) or not np.isfinite(vals).all():
+            raise ValueError("observed_values must be finite and match observed_dims")
+        if self._obs_box is not None and not self._obs_box.contains(vals):
+            raise ValueError("observed values lie outside the truncation box")
+        projected = np.einsum("kij,kj->ki", self._projection, vals - self._obs_means)
+        white = projected[:, self._n_free :]
+        log_w = self._log_norms - 0.5 * (white * white).sum(axis=1)
+        weights = np.exp(log_w - log_w.max())
+        return GaussianMixture._trusted(
+            weights / weights.sum(),
+            self._free_means + projected[:, : self._n_free],
+            self._covariances,
+            self._free_box,
+            self._chols,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -785,15 +916,6 @@ def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
     return cov + floor * np.eye(cov.shape[0])
 
 
-class _EmState:
-    """Mutable parameters of one EM run."""
-
-    def __init__(self, weights, means, covs):
-        self.weights = weights
-        self.means = means
-        self.covs = covs
-
-
 def _complement_moments(
     mean: np.ndarray, cov: np.ndarray, mom: TruncatedMoments
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -866,27 +988,23 @@ def em_fit(
     pooled = np.cov(data, rowvar=False, bias=True).reshape(dim, dim)
     pooled = _floor_covariance(pooled, max(config.covariance_floor, 1e-10))
 
-    best: Optional[tuple[float, _EmState, FitDiagnostics]] = None
+    best: Optional[tuple[float, tuple[np.ndarray, ...], FitDiagnostics]] = None
     restart_lls: list[float] = []
     for restart in range(config.restarts):
         rng = np.random.Generator(
             np.random.PCG64(derive_seed(config.seed, "em-init", restart))
         )
-        state = _EmState(
-            weights=np.full(k, 1.0 / k),
-            means=_kmeanspp_means(data, k, rng),
-            covs=np.repeat(pooled[None, :, :], k, axis=0),
-        )
+        weights = np.full(k, 1.0 / k)
+        means = _kmeanspp_means(data, k, rng)
+        covs = np.repeat(pooled[None, :, :], k, axis=0)
         trace: list[float] = []
         reinits: list[tuple[int, int]] = []
         converged = False
         prev_ll = -np.inf
         for iteration in range(config.max_iterations + 1):
-            model_like = GaussianMixture(
-                state.weights / state.weights.sum(), state.means, state.covs
-            )
+            model_like = GaussianMixture(weights / weights.sum(), means, covs)
             log_dens = model_like._component_log_densities(data)
-            log_weighted = log_dens + np.log(state.weights)
+            log_weighted = log_dens + np.log(weights)
             row_ll = logsumexp(log_weighted, axis=1)
             moments = None
             if truncated:
@@ -897,7 +1015,7 @@ def em_fit(
                 # instead of resampling noise.
                 moments = [
                     truncated_moments(
-                        GaussianComponent(state.means[j], state.covs[j]),
+                        GaussianComponent(means[j], covs[j]),
                         box,
                         n_accepted=config.mc_moment_draws,
                         seed=derive_seed(config.seed, f"em-mc-{restart}", j),
@@ -905,7 +1023,7 @@ def em_fit(
                     for j in range(k)
                 ]
                 masses = np.array([m.mass for m in moments])
-                total_mass = float(state.weights @ masses)
+                total_mass = float(weights @ masses)
                 ll = float(row_ll.sum()) - n * math.log(total_mass)
             else:
                 ll = float(row_ll.sum())
@@ -923,8 +1041,8 @@ def em_fit(
             new_weights = np.empty(k)
             for j in range(k):
                 if resp_mass[j] < 1e-8:
-                    state.means[j] = data[rng.integers(n)]
-                    state.covs[j] = pooled.copy()
+                    means[j] = data[rng.integers(n)]
+                    covs[j] = pooled.copy()
                     new_weights[j] = 1.0 / k
                     reinits.append((iteration, j))
                     continue
@@ -933,10 +1051,8 @@ def em_fit(
                 scatter = (resp[:, j][:, None] * diff).T @ diff / resp_mass[j]
                 if truncated and moments[j].mass < 1.0 - 1e-12:
                     mom = moments[j]
-                    m_out, v_out = _complement_moments(
-                        state.means[j], state.covs[j], mom
-                    )
-                    virtual = n * state.weights[j] * (1.0 - mom.mass) / total_mass
+                    m_out, v_out = _complement_moments(means[j], covs[j], mom)
+                    virtual = n * weights[j] * (1.0 - mom.mass) / total_mass
                     w_data, w_virt = resp_mass[j], virtual
                     mu_new = (w_data * ybar + w_virt * m_out) / (w_data + w_virt)
                     d1 = ybar - mu_new
@@ -947,22 +1063,22 @@ def em_fit(
                     ) / (w_data + w_virt)
                     new_weights[j] = (
                         total_mass * resp_mass[j] / n
-                        + state.weights[j] * (1.0 - mom.mass)
+                        + weights[j] * (1.0 - mom.mass)
                     )
                 else:
                     mu_new = ybar
                     sigma_new = scatter
                     new_weights[j] = resp_mass[j] / n
-                state.means[j] = mu_new
-                state.covs[j] = _floor_covariance(sigma_new, config.covariance_floor)
+                means[j] = mu_new
+                covs[j] = _floor_covariance(sigma_new, config.covariance_floor)
                 try:
-                    np.linalg.cholesky(state.covs[j])
+                    np.linalg.cholesky(covs[j])
                 except np.linalg.LinAlgError:
-                    state.means[j] = data[rng.integers(n)]
-                    state.covs[j] = pooled.copy()
+                    means[j] = data[rng.integers(n)]
+                    covs[j] = pooled.copy()
                     new_weights[j] = 1.0 / k
                     reinits.append((iteration, j))
-            state.weights = new_weights / new_weights.sum()
+            weights = new_weights / new_weights.sum()
 
         final_ll = trace[-1]
         restart_lls.append(final_ll)
@@ -976,15 +1092,15 @@ def em_fit(
                 restart_logliks=[],
                 reinit_events=reinits,
             )
-            best = (final_ll, state, diag)
+            best = (final_ll, (weights, means, covs), diag)
 
     assert best is not None
-    _, state, diag = best
+    _, (weights, means, covs), diag = best
     diag.restart_logliks = restart_lls
     model = GaussianMixture(
-        state.weights,
-        state.means,
-        state.covs,
+        weights,
+        means,
+        covs,
         truncation=box if truncated else None,
         fit_seed=config.seed,
     )
@@ -1082,21 +1198,37 @@ def select_components(
 # Mode search
 # ---------------------------------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The fixed-point iteration stops once no start moves by more than this
+# relative amount, or after the step cap.
+_MODE_TOLERANCE = 1e-12
+_MODE_MAX_STEPS = 500
 
 
 def conditional_mode(
     model: GaussianMixture,
     interval: tuple[float, float],
     grid_points: int = 2048,
-    refine_tolerance: float = 1e-9,
 ) -> float:
     """Highest-density point of a 1-D mixture on a closed interval.
 
-    Scans a uniform grid (endpoints included) and refines the best
-    bracket by golden-section search.  Exact ties resolve toward the
-    lower value, and the result never has lower density than any grid
-    point.
+    Scans a uniform grid (endpoints included), then runs the fixed-point
+    mode iteration of Carreira-Perpinan (2000, "Mode-finding for
+    mixtures of Gaussian distributions")
+
+        x <- sum_k r_k(x) m_k / s_k^2  /  sum_k r_k(x) / s_k^2,
+
+    with r_k(x) the responsibility of component k at x, from every
+    component mean and from the best grid point at once, each iterate
+    clipped to the part of the interval inside the truncation box.  One
+    Newton step on the log density then polishes each end point.  Of the
+    best grid point and all end points, the one with the highest density
+    wins; exact ties resolve toward the lower value, so the result never
+    has lower density than any grid point.
+
+    Raises:
+        ValueError: the model is not 1-D, or a bad interval or grid size.
+        DegenerateTruncationError: a component's box mass underflows, as
+            in every density evaluation of the model.
     """
     if model.dim != 1:
         raise ValueError("conditional_mode requires a 1-D model")
@@ -1105,27 +1237,55 @@ def conditional_mode(
         raise ValueError(f"interval must be finite with lo < hi, got ({lo}, {hi})")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    # Column vectors over the components; points run along axis 1.
+    means = model.means[:, :1]
+    precisions = 1.0 / model.covariances[:, :, 0]
+    log_peaks = _log_weights(model.weights)[:, None] + 0.5 * (
+        np.log(precisions) - _LOG_2PI
+    )
+    log_c = 0.0
+    support_lo, support_hi = lo, hi
+    if model.truncation is not None:
+        log_c = math.log(model.normalization())
+        support_lo = max(lo, float(model.truncation.lower[0]))
+        support_hi = min(hi, float(model.truncation.upper[0]))
+
+    def log_terms(x: np.ndarray) -> np.ndarray:
+        """log(w_k N(x; m_k, s_k^2)), one row per component."""
+        return log_peaks - 0.5 * precisions * (x - means) ** 2
+
+    def responsibilities(x: np.ndarray) -> np.ndarray:
+        terms = log_terms(x)
+        return np.exp(terms - terms.max(axis=0))
+
+    def density(x: np.ndarray) -> np.ndarray:
+        terms = log_terms(x)
+        top = terms.max(axis=0)
+        log_dens = top + np.log(np.exp(terms - top).sum(axis=0)) - log_c
+        return np.where((x >= support_lo) & (x <= support_hi), np.exp(log_dens), 0.0)
+
     grid = np.linspace(lo, hi, grid_points)
-    dens = np.exp(model.log_density_rows(grid[:, None]))
-    best_idx = int(np.argmax(dens))  # first max -> ties toward lower value
-    best_x = float(grid[best_idx])
-    best_f = float(dens[best_idx])
-
-    a = float(grid[max(best_idx - 1, 0)])
-    b = float(grid[min(best_idx + 1, grid_points - 1)])
-
-    def f(x: float) -> float:
-        return float(np.exp(model.log_density_rows(np.array([[x]])))[0])
-
-    while b - a > refine_tolerance:
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        if f(c) >= f(d):
-            b = d
-        else:
-            a = c
-    refined = 0.5 * (a + b)
-    refined_f = f(refined)
-    if refined_f > best_f or (refined_f == best_f and refined < best_x):
-        return refined
-    return best_x
+    candidates = [grid[[int(np.argmax(density(grid)))]]]  # first max: lowest tie
+    if support_lo <= support_hi:
+        x = np.clip(np.append(means, candidates[0]), support_lo, support_hi)
+        for _ in range(_MODE_MAX_STEPS):
+            resp = responsibilities(x) * precisions
+            step = (resp * means).sum(axis=0) / resp.sum(axis=0)
+            step = np.clip(step, support_lo, support_hi)
+            settled = np.abs(step - x) <= _MODE_TOLERANCE * (1.0 + np.abs(x))
+            x = step
+            if settled.all():
+                break
+        # Newton on g = log density: g' = E[d], g'' = E[d^2] - g'^2 - E[1/s^2]
+        # with d_k = (m_k - x) / s_k^2 and E over the responsibilities.
+        resp = responsibilities(x)
+        resp /= resp.sum(axis=0)
+        pull = (means - x) * precisions
+        slope = (resp * pull).sum(axis=0)
+        curvature = (resp * (pull * pull - precisions)).sum(axis=0) - slope * slope
+        concave = curvature < 0
+        polished = x[concave] - slope[concave] / curvature[concave]
+        candidates += [x, np.clip(polished, support_lo, support_hi)]
+    points = np.concatenate(candidates)
+    dens = density(points)
+    return float(points[dens == dens.max()].min())

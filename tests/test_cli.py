@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from crossingsim.cli import EXIT_GATE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
@@ -44,6 +45,51 @@ def untruncated_diagonal_model(means=(0.1, 5.0, 1.3, 0.4), sds=(0.03, 0.5, 0.2, 
     mu = np.asarray(means, dtype=float)
     cov = np.diag(np.asarray(sds, dtype=float) ** 2)
     return GaussianMixture(np.array([1.0]), mu[None, :], cov[None, :, :])
+
+
+VALID_MODEL = json.loads(reference_generator().to_text())
+REQUIRED_KEYS = ["format", "version", "dim", "n_components", "weights", "means", "covariances"]
+NOT_NUMBERS = st.one_of(
+    st.text(max_size=4),
+    st.booleans(),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.text(max_size=2), min_size=1, max_size=2),
+)
+NOT_LISTS = st.one_of(NOT_NUMBERS.filter(lambda v: not isinstance(v, list)), st.floats(), st.none())
+
+
+@st.composite
+def malformed_model_documents(draw):
+    """A valid model document with exactly one thing broken, as JSON text."""
+    doc = json.loads(json.dumps(VALID_MODEL))
+    fault = draw(
+        st.sampled_from(["drop", "count", "array", "entry", "box", "bound", "seed"])
+    )
+    if fault == "drop":
+        del doc[draw(st.sampled_from(REQUIRED_KEYS))]
+    elif fault == "count":
+        doc[draw(st.sampled_from(["dim", "n_components"]))] = draw(
+            st.one_of(NOT_LISTS, st.integers(max_value=0), st.just([4]))
+        )
+    elif fault == "array":
+        doc[draw(st.sampled_from(["weights", "means", "covariances"]))] = draw(
+            st.one_of(NOT_LISTS, st.integers())
+        )
+    elif fault == "entry":
+        key = draw(st.sampled_from(["weights", "means", "covariances"]))
+        bad = draw(st.one_of(NOT_NUMBERS, st.none()))
+        if key == "weights":
+            doc[key][draw(st.integers(0, 2))] = bad
+        else:
+            doc[key][draw(st.integers(0, 2))][draw(st.integers(0, 3))] = bad
+    elif fault == "box":
+        doc["truncation"] = draw(NOT_LISTS.filter(lambda v: v is not None))
+    elif fault == "bound":
+        side = draw(st.sampled_from(["lower", "upper"]))
+        doc["truncation"][side][draw(st.integers(0, 3))] = draw(NOT_NUMBERS)
+    else:
+        doc["fit_seed"] = draw(st.one_of(NOT_NUMBERS, st.floats()))
+    return json.dumps(doc)
 
 
 def read_two_columns(path):
@@ -232,6 +278,16 @@ class TestCondition:
         argv = ["condition", "--config", str(cfg), "--out", str(tmp_path), "--given", "v=5.0"]
         assert main(argv) == EXIT_USAGE
         assert "bad model file" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(document=malformed_model_documents())
+    def test_malformed_model_documents_are_usage_errors(self, tmp_path_factory, document):
+        with pytest.raises(ValueError):
+            GaussianMixture.from_text(document)
+        out = tmp_path_factory.mktemp("malformed")
+        (out / "model.json").write_text(document)
+        argv = ["condition", "--out", str(out), "--given", "v=5.0"]
+        assert main(argv) == EXIT_USAGE
 
 
 class TestSimulate:

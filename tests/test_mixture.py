@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm, truncnorm
 
 from crossingsim.mixture import (
+    Conditioner,
     ConditioningError,
     DegenerateTruncationError,
     FitConfig,
@@ -260,6 +261,26 @@ class TestDensity:
         )
         assert model.normalization() == pytest.approx(0.5, abs=1e-15)
 
+    def test_one_dim_box_masses_equal_truncated_moments(self):
+        # The vectorized 1-D path must give the per-component closed form
+        # bit for bit, and raise where any one component would.
+        rng = np.random.Generator(np.random.PCG64(12))
+        for lo, hi in [(0.0, np.inf), (-np.inf, 1.0), (-1.0, 2.5)]:
+            box = TruncationBox(np.array([lo]), np.array([hi]))
+            model = random_mixture(rng, dim=1, k=4, truncation=box)
+            expected = [truncated_moments(c, box).mass for c in model.components]
+            np.testing.assert_array_equal(model.component_box_masses(), expected)
+        far = GaussianMixture(
+            np.array([0.0, 1.0]),
+            np.array([[-60.0], [1.0]]),
+            np.ones((2, 1, 1)),
+            truncation=TruncationBox.positive_orthant(1),
+        )
+        with pytest.raises(DegenerateTruncationError):
+            truncated_moments(far.components[0], far.truncation)
+        with pytest.raises(DegenerateTruncationError):
+            far.component_box_masses()
+
     def test_log_likelihood_is_row_sum(self):
         rng = np.random.Generator(np.random.PCG64(5))
         model = random_mixture(rng)
@@ -413,6 +434,57 @@ class TestCondition:
     def test_conditioning_error_is_a_value_error(self):
         # Callers catch ValueError for every conditioning failure.
         assert issubclass(ConditioningError, ValueError)
+
+
+class TestConditioner:
+    def test_factorization_identity(self):
+        """p(x_f | x_o) == p(x_f, x_o) / p(x_o) on untruncated mixtures."""
+        rng = np.random.Generator(np.random.PCG64(3000))
+        for _ in range(20):
+            model = random_mixture(rng, dim=4)
+            n_obs = int(rng.integers(1, 4))
+            obs = np.sort(rng.choice(4, size=n_obs, replace=False))
+            free = np.setdiff1d(np.arange(4), obs)
+            conditioner = Conditioner(model, obs)
+            for _ in range(3):
+                x = rng.uniform(-3.0, 3.0, size=4)
+                joint = model.density(x)
+                marginal = model.marginalize(obs).density(x[obs])
+                conditional = conditioner(x[obs])
+                assert conditional.dim == free.size
+                assert conditional.density(x[free]) == pytest.approx(
+                    joint / marginal, rel=1e-9
+                )
+
+    def test_reusable_and_matches_condition(self):
+        rng = np.random.Generator(np.random.PCG64(3001))
+        model = random_mixture(rng, dim=4, truncation=TruncationBox.positive_orthant(4))
+        conditioner = Conditioner(model, [0, 2])
+        first = conditioner([0.5, 1.5])
+        conditioner([2.0, 0.1])
+        again = conditioner([0.5, 1.5])
+        assert again == first == model.condition([0, 2], [0.5, 1.5])
+        assert first.truncation.dim == 2
+        assert first.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError):
+            first.means[0, 0] = 1.0  # results are read-only
+
+    def test_bad_dims_rejected_at_build(self):
+        model = random_mixture(np.random.Generator(np.random.PCG64(3002)), dim=4)
+        for dims in [[], [0, 0], [4], [-1], [0, 1, 2, 3]]:
+            with pytest.raises(ValueError):
+                Conditioner(model, dims)
+
+    def test_bad_values_rejected_per_call(self):
+        model = random_mixture(
+            np.random.Generator(np.random.PCG64(3003)),
+            dim=4,
+            truncation=TruncationBox.positive_orthant(4),
+        )
+        conditioner = Conditioner(model, [1, 3])
+        for values in [[0.5], [0.5, 0.5, 0.5], [0.5, math.inf], [0.5, -0.1]]:
+            with pytest.raises(ValueError):
+                conditioner(values)
 
 
 class TestSampling:

@@ -9,8 +9,6 @@ mixture-derived human-driver baseline.
 from crossingsim.scenario import (
     Kinematics,
     ObservationVector,
-    TtcConvention,
-    from_observation,
     time_advantage,
     to_observation,
 )
@@ -56,10 +54,8 @@ from crossingsim.ingest import (
 __all__ = [
     "Kinematics",
     "ObservationVector",
-    "TtcConvention",
     "time_advantage",
     "to_observation",
-    "from_observation",
     "GaussianComponent",
     "GaussianMixture",
     "TruncationBox",

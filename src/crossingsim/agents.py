@@ -18,12 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from crossingsim.mixture import (
-    Conditioner,
-    ConditioningError,
-    GaussianMixture,
-    conditional_mode,
-)
+from crossingsim.mixture import GaussianMixture, conditional_mode
 from crossingsim.scenario import (
     Kinematics,
     OBS_INV_RANGE,
@@ -210,30 +205,34 @@ def decide_walk_speed(
 ) -> WalkSpeedDecision:
     """Draw a walk speed from the model conditioned on the vehicle state.
 
-    The model is first marginalized to (1/R, v, v_p): conditioning on
-    the time-advantage coordinate would be circular because it already
-    depends on the walk speed being chosen.  The 1-D conditional of v_p
-    given (1/R, v) is sampled once with the given seed and clamped to
-    ``bounds``.  A stopped vehicle conditions on range alone; if
-    conditioning fails (singular observed block, or the vehicle state
-    falls outside the model's support) the unconditional v_p marginal is
-    used and the decision is flagged.
+    The 1-D conditional of v_p given (1/R, v) is sampled once with the
+    given seed and clamped to ``bounds``.  The time-advantage coordinate
+    is marginalized out, not observed: conditioning on it would be
+    circular because it already depends on the walk speed being chosen.
+    A stopped vehicle conditions on range alone; if conditioning fails
+    (singular observed block, or the vehicle state falls outside the
+    model's support) the unconditional v_p marginal is used and the
+    decision is flagged.
     """
     lo, hi = bounds
     if not 0 < lo <= hi:
         raise ValueError(f"bounds must satisfy 0 < lo <= hi, got {bounds}")
-    marginal = model.marginalize([OBS_INV_RANGE, OBS_VEHICLE_SPEED, OBS_WALK_SPEED])
-    conditional: GaussianMixture
     used_fallback = False
     try:
         if vehicle_range <= 0:
             raise ValueError("vehicle is at or past the crossing line")
         if vehicle_speed > 0:
-            conditional = marginal.condition([0, 1], [1.0 / vehicle_range, vehicle_speed])
+            conditional = model.condition(
+                [OBS_INV_RANGE, OBS_VEHICLE_SPEED],
+                [1.0 / vehicle_range, vehicle_speed],
+                [OBS_WALK_SPEED],
+            )
         else:
-            conditional = marginal.condition([0], [1.0 / vehicle_range]).marginalize([1])
-    except (ConditioningError, ValueError):
-        conditional = marginal.marginalize([2])
+            conditional = model.condition(
+                [OBS_INV_RANGE], [1.0 / vehicle_range], [OBS_WALK_SPEED]
+            )
+    except ValueError:  # ConditioningError included
+        conditional = model.marginalize([OBS_WALK_SPEED])
         used_fallback = True
     speed = float(conditional.sample(1, seed)[0, 0])
     return WalkSpeedDecision(speed=min(max(speed, lo), hi), used_fallback=used_fallback)
@@ -477,14 +476,6 @@ class HumanDriver:
         self._held = StrategyDecision(acceleration=0.0)
         self._recovering = True
         self._search = self._speed_interval(model)
-        # Built once; without it every conditioning attempt falls back.
-        self._conditioner: Optional[Conditioner] = None
-        try:
-            self._conditioner = Conditioner(
-                model, [OBS_INV_RANGE, OBS_WALK_SPEED, OBS_INV_TIME_ADVANTAGE]
-            )
-        except ValueError:  # ConditioningError included
-            pass
 
     @staticmethod
     def _speed_interval(model: GaussianMixture) -> tuple[float, float]:
@@ -518,8 +509,6 @@ class HumanDriver:
                 acceleration=accel, desired_speed=self.params.free_flow_speed
             )
         self._recovering = False
-        if self._conditioner is None:
-            return StrategyDecision(acceleration=0.0, fallback=True)
         try:
             adv = time_advantage(
                 Kinematics(
@@ -531,11 +520,12 @@ class HumanDriver:
             )
             if adv == 0.0:
                 raise ValueError("zero time advantage")
-            conditional = self._conditioner(
-                [1.0 / longitudinal_gap, governing.walk_speed, 1.0 / adv]
+            conditional = self.model.condition(
+                [OBS_INV_RANGE, OBS_WALK_SPEED, OBS_INV_TIME_ADVANTAGE],
+                [1.0 / longitudinal_gap, governing.walk_speed, 1.0 / adv],
             )
             desired = conditional_mode(conditional, self._search)
-        except (ConditioningError, ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):  # ConditioningError included
             return StrategyDecision(acceleration=0.0, fallback=True)
         accel = (desired - vehicle_speed) / self.params.update_interval
         limit = self.params.max_acceleration

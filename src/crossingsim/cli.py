@@ -7,9 +7,9 @@ one episode trajectory, and ``evaluate`` runs the paired experiment
 batch and applies the aggressiveness gates.
 
 Every command is deterministic given the config file and master seed;
-``--parallel`` only changes how work is partitioned.  Exit statuses:
-0 success (and gate pass), 1 usage or input error, 2 runtime failure,
-3 gate fail.
+``evaluate --parallel`` only changes how work is partitioned.  Exit
+statuses: 0 success (and gate pass), 1 usage or input error, 2 runtime
+failure, 3 gate fail.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=Path, default=None, help="JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--parallel", type=int, default=1, help="worker processes")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
     p = sub.add_parser("gen-data", help="draw synthetic observations")
@@ -102,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run the paired batch and score it")
     common(p)
+    p.add_argument("--parallel", type=int, default=1, help="worker processes")
     p.set_defaults(handler=cmd_evaluate)
 
     return parser
@@ -119,8 +119,6 @@ def _load_setup(args: argparse.Namespace) -> tuple[RunConfig, Path]:
         config = RunConfig()
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    if args.parallel < 1:
-        raise UsageError("--parallel must be >= 1")
     out_dir: Path = args.out
     if not out_dir.is_dir():
         raise UsageError(f"output directory does not exist: {out_dir}")
@@ -237,9 +235,7 @@ def cmd_condition(config: RunConfig, args: argparse.Namespace) -> int:
     if max(obs_dims) >= model.dim:
         raise UsageError(f"model has dimension {model.dim}; assignment out of range")
 
-    conditional = model.condition(obs_dims, values)
-    remaining = [d for d in range(model.dim) if d not in obs_dims]
-    curve = conditional.marginalize([remaining.index(free_idx)])
+    curve = model.condition(obs_dims, values, [free_idx])
 
     means = curve.means[:, 0]
     sds = np.sqrt(curve.covariances[:, 0, 0])
@@ -309,6 +305,8 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
+    if args.parallel < 1:
+        raise UsageError("--parallel must be >= 1")
     out_dir = args.out
     model = _load_model(config, out_dir)
     if model.dim != 4:

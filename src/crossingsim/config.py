@@ -91,16 +91,13 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Synthetic-data size and trajectory resampling stride."""
+    """Synthetic-data size."""
 
     n_synthetic: int = 3000
-    sample_stride: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n_synthetic < 0:
             raise ValueError("n_synthetic must be >= 0")
-        if not (math.isfinite(self.sample_stride) and self.sample_stride >= 0):
-            raise ValueError("sample_stride must be >= 0")
 
 
 @dataclass(frozen=True)

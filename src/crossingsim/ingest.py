@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from crossingsim.mixture import GaussianMixture, TruncationBox
-from crossingsim.scenario import OBS_COLUMNS, OBS_DIM, Kinematics, TtcConvention, to_observation
+from crossingsim.scenario import OBS_COLUMNS, OBS_DIM, Kinematics, to_observation
 
 __all__ = [
     "TrajectoryLog",
@@ -153,7 +153,6 @@ def write_trajectories(logs: Sequence[TrajectoryLog], path: Union[str, Path]) ->
 def extract_observations(
     log: TrajectoryLog,
     sample_stride: float = 0.5,
-    ttc_convention: TtcConvention = TtcConvention.DISTANCE_OVER_SPEED,
 ) -> ObservationMatrix:
     """Convert one passing event into observation rows.
 
@@ -189,7 +188,7 @@ def extract_observations(
                 vehicle_speed=float(log.v[i]),
                 walk_speed=float(walk[i]),
             )
-            obs = to_observation(kin, ttc_convention)
+            obs = to_observation(kin)
         except ValueError:
             continue
         rows.append(obs.as_array())

@@ -311,6 +311,16 @@ def truncated_moments(
 _WEIGHT_SUM_TOL = 1e-12
 
 
+def _dim_index(dims: Sequence[int], dim: int, what: str) -> np.ndarray:
+    """``dims`` as an index array; they must be non-empty, unique and below ``dim``."""
+    idx = np.asarray(dims, dtype=int)
+    if idx.size == 0 or idx.size != np.unique(idx).size:
+        raise ValueError(f"{what} must be non-empty and unique")
+    if (idx < 0).any() or (idx >= dim).any():
+        raise ValueError(f"{what} out of range for dim {dim}")
+    return idx
+
+
 def _log_weights(weights: np.ndarray) -> np.ndarray:
     # Conditioning can underflow a weight to exactly 0; log it as -inf
     # without tripping numpy's divide warning.
@@ -361,8 +371,8 @@ class GaussianMixture:
     """Weighted Gaussian mixture, optionally truncated to a box.
 
     Instances are treated as immutable: parameter arrays are stored
-    read-only and derived quantities (Cholesky factors, box masses) are
-    cached on first use, so concurrent reads are safe.
+    read-only and derived quantities (Cholesky factors, box masses,
+    conditioners) are cached on first use, so concurrent reads are safe.
     """
 
     def __init__(
@@ -405,6 +415,7 @@ class GaussianMixture:
         self.fit_seed = fit_seed
         self._chols: Optional[np.ndarray] = None
         self._box_masses: Optional[np.ndarray] = None
+        self._conditioners: dict[tuple, Conditioner] = {}
 
     @classmethod
     def _trusted(
@@ -430,6 +441,7 @@ class GaussianMixture:
         model.fit_seed = None
         model._chols = chols
         model._box_masses = None
+        model._conditioners = {}
         return model
 
     # -- basic introspection ------------------------------------------------
@@ -600,13 +612,7 @@ class GaussianMixture:
         Weights carry over unchanged; under truncation the box is sliced
         to the retained dimensions.
         """
-        idx = np.asarray(dims, dtype=int)
-        if idx.size == 0:
-            raise ValueError("must keep at least one dimension")
-        if idx.size != np.unique(idx).size:
-            raise ValueError("dims must be unique")
-        if (idx < 0).any() or (idx >= self.dim).any():
-            raise ValueError(f"dims out of range for model of dim {self.dim}")
+        idx = _dim_index(dims, self.dim, "dims")
         box = self.truncation.sliced(idx) if self.truncation is not None else None
         return GaussianMixture(
             self.weights.copy(),
@@ -617,15 +623,25 @@ class GaussianMixture:
         )
 
     def condition(
-        self, observed_dims: Sequence[int], observed_values: Sequence[float]
+        self,
+        observed_dims: Sequence[int],
+        observed_values: Sequence[float],
+        free_dims: Optional[Sequence[int]] = None,
     ) -> "GaussianMixture":
         """Exact conditional mixture given values on a subset of dimensions.
 
-        Shorthand for ``Conditioner(self, observed_dims)(observed_values)``;
-        build the :class:`Conditioner` once to condition many times on
-        the same dimensions.
+        The result covers ``free_dims`` in the order given, by default
+        every unobserved dimension in ascending order; see
+        :class:`Conditioner`.  The conditioner for each pair of
+        ``observed_dims`` and ``free_dims`` is built on first use and
+        cached on the model.  A build that fails is not cached, so it
+        raises again on the next call.
         """
-        return Conditioner(self, observed_dims)(observed_values)
+        key = (tuple(observed_dims), None if free_dims is None else tuple(free_dims))
+        conditioner = self._conditioners.get(key)
+        if conditioner is None:
+            conditioner = self._conditioners[key] = Conditioner(self, *key)
+        return conditioner(observed_values)
 
     # -- sampling -----------------------------------------------------------
 
@@ -763,6 +779,13 @@ class Conditioner:
     space, so far-out conditioning values still renormalize) and the box
     is sliced to the free dimensions.
 
+    The free dimensions are ``free_dims`` in the order given, by default
+    every unobserved dimension in ascending order.  An unobserved
+    dimension left out of ``free_dims`` is marginalized out: only the
+    covariance sub-blocks of the observed and free dimensions enter, so
+    the result equals :meth:`GaussianMixture.marginalize` to the observed
+    and free dimensions followed by conditioning.
+
     Everything that does not depend on the observed values is computed
     once, stacked over the components: the Cholesky factor L of each
     observed-block covariance, the regression matrix Sigma_fo Sigma_oo^-1,
@@ -771,20 +794,26 @@ class Conditioner:
     product for the conditional means and the reweighting.
 
     Raises:
-        ValueError: bad dimension subset, or a conditional covariance
-            that is not positive definite.
+        ValueError: bad or overlapping dimension subsets, or a conditional
+            covariance that is not positive definite.
         ConditioningError: an observed-block covariance is singular.
     """
 
-    def __init__(self, model: GaussianMixture, observed_dims: Sequence[int]) -> None:
-        obs = np.asarray(observed_dims, dtype=int)
-        if obs.size == 0 or obs.size != np.unique(obs).size:
-            raise ValueError("observed_dims must be non-empty and unique")
-        if (obs < 0).any() or (obs >= model.dim).any():
-            raise ValueError(f"observed_dims out of range for dim {model.dim}")
-        if obs.size >= model.dim:
-            raise ValueError("observed_dims must be a proper subset of dimensions")
-        free = np.setdiff1d(np.arange(model.dim), obs)
+    def __init__(
+        self,
+        model: GaussianMixture,
+        observed_dims: Sequence[int],
+        free_dims: Optional[Sequence[int]] = None,
+    ) -> None:
+        obs = _dim_index(observed_dims, model.dim, "observed_dims")
+        if free_dims is None:
+            free = np.setdiff1d(np.arange(model.dim), obs)
+            if free.size == 0:
+                raise ValueError("observed_dims must be a proper subset of dimensions")
+        else:
+            free = _dim_index(free_dims, model.dim, "free_dims")
+            if np.isin(free, obs).any():
+                raise ValueError("free_dims must not overlap observed_dims")
         covs = model.covariances
         try:
             chol = np.linalg.cholesky(covs[:, obs[:, None], obs])
@@ -817,7 +846,7 @@ class Conditioner:
             self._free_box = model.truncation.sliced(free)
 
     def __call__(self, observed_values: Sequence[float]) -> GaussianMixture:
-        """Conditional mixture over the free dimensions, in ascending order.
+        """Conditional mixture over the free dimensions.
 
         Raises:
             ValueError: values not finite, of the wrong length, or outside

@@ -16,19 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "TtcConvention",
     "Kinematics",
     "ObservationVector",
-    "RecoveredState",
     "time_advantage",
     "to_observation",
-    "from_observation",
     "OBS_DIM",
     "OBS_INV_RANGE",
     "OBS_VEHICLE_SPEED",
@@ -45,18 +40,6 @@ OBS_INV_TIME_ADVANTAGE = 3
 
 # Column labels used by every observation file the package reads or writes.
 OBS_COLUMNS = ("inv_R", "v", "v_p", "inv_T_adv")
-
-
-class TtcConvention(Enum):
-    """How time-to-collision is formed from vehicle state.
-
-    DISTANCE_OVER_SPEED is the plain kinematic estimate R / v assuming
-    the vehicle holds its current speed.  Alternative conventions
-    (e.g. acceleration-aware) can be added as new members without
-    touching call sites.
-    """
-
-    DISTANCE_OVER_SPEED = "distance_over_speed"
 
 
 @dataclass(frozen=True)
@@ -113,22 +96,11 @@ class ObservationVector:
         )
 
 
-class RecoveredState(NamedTuple):
-    """Quantities recoverable from an observation (lateral gap is not)."""
-
-    longitudinal_gap: float
-    vehicle_speed: float
-    walk_speed: float
-    time_advantage: float
-
-
-def time_advantage(
-    kin: Kinematics,
-    convention: TtcConvention = TtcConvention.DISTANCE_OVER_SPEED,
-) -> float:
+def time_advantage(kin: Kinematics) -> float:
     """Absolute gap between vehicle and pedestrian arrival times at the conflict point.
 
-    T_Adv = |TTC - L / v_p| where TTC follows ``convention``.  Small
+    T_Adv = |TTC - L / v_p| with TTC = R / v, the plain kinematic
+    estimate that assumes the vehicle holds its current speed.  Small
     values mean the two road users reach the shared zone nearly
     simultaneously; the measure is symmetric in who arrives first.
 
@@ -140,17 +112,11 @@ def time_advantage(
         raise ZeroDivisionError("time_advantage undefined for a stopped vehicle")
     if kin.walk_speed == 0.0:
         raise ZeroDivisionError("time_advantage undefined for a stopped pedestrian")
-    if convention is TtcConvention.DISTANCE_OVER_SPEED:
-        ttc = kin.longitudinal_gap / kin.vehicle_speed
-    else:  # pragma: no cover - single-member enum guards future additions
-        raise ValueError(f"unsupported TTC convention: {convention!r}")
+    ttc = kin.longitudinal_gap / kin.vehicle_speed
     return abs(ttc - kin.lateral_gap / kin.walk_speed)
 
 
-def to_observation(
-    kin: Kinematics,
-    convention: TtcConvention = TtcConvention.DISTANCE_OVER_SPEED,
-) -> ObservationVector:
+def to_observation(kin: Kinematics) -> ObservationVector:
     """Map a kinematic state to model space.
 
     Rejects states whose observation is undefined: nonpositive range,
@@ -163,7 +129,7 @@ def to_observation(
         raise ValueError(f"vehicle speed must be positive, got {kin.vehicle_speed}")
     if kin.walk_speed <= 0:
         raise ValueError(f"walk speed must be positive, got {kin.walk_speed}")
-    adv = time_advantage(kin, convention)
+    adv = time_advantage(kin)
     if adv == 0.0:
         raise ValueError("time advantage is zero; observation undefined")
     return ObservationVector(
@@ -171,19 +137,4 @@ def to_observation(
         vehicle_speed=kin.vehicle_speed,
         walk_speed=kin.walk_speed,
         inv_time_advantage=1.0 / adv,
-    )
-
-
-def from_observation(obs: ObservationVector) -> RecoveredState:
-    """Invert the observation transform where possible.
-
-    Range and time advantage come back as reciprocals; the lateral gap
-    cannot be recovered because the time-advantage magnitude discards
-    the arrival order.
-    """
-    return RecoveredState(
-        longitudinal_gap=1.0 / obs.inv_range,
-        vehicle_speed=obs.vehicle_speed,
-        walk_speed=obs.walk_speed,
-        time_advantage=1.0 / obs.inv_time_advantage,
     )

@@ -37,7 +37,6 @@ from crossingsim.seeds import derive_seed
 
 __all__ = [
     "SimConfig",
-    "WorldState",
     "TrajectoryPoint",
     "EpisodeResult",
     "PairResult",
@@ -110,17 +109,6 @@ class SimConfig:
             raise ValueError("dt must not exceed horizon")
 
 
-@dataclass
-class WorldState:
-    """Snapshot of the simulated world at one step."""
-
-    clock: float
-    longitudinal_gap: float  # m, vehicle front to crossing line (positive approaching)
-    vehicle_speed: float
-    pedestrians: list[Pedestrian]
-    pending_arrivals: int
-
-
 class TrajectoryPoint(NamedTuple):
     """One trajectory row; pedestrian fields are None on pedestrian-free steps."""
 
@@ -152,15 +140,20 @@ class EpisodeResult:
         return not self.crashed and not self.timed_out
 
 
-def detect_crash(state: WorldState, config: SimConfig) -> bool:
+def detect_crash(
+    longitudinal_gap: float, pedestrians: Sequence[Pedestrian], config: SimConfig
+) -> bool:
     """True when the vehicle body overlaps the crossing line while some
-    pedestrian stands within half a vehicle width of the vehicle path."""
-    gap = state.longitudinal_gap
-    if not (-2.0 * config.vehicle_half_length <= gap <= 0.0):
+    pedestrian stands within half a vehicle width of the vehicle path.
+
+    ``longitudinal_gap`` is metres from the vehicle front to the crossing
+    line, positive while approaching.
+    """
+    if not (-2.0 * config.vehicle_half_length <= longitudinal_gap <= 0.0):
         return False
     return any(
         abs(p.lateral_position) <= config.vehicle_half_width
-        for p in state.pedestrians
+        for p in pedestrians
         if not p.finished
     )
 
@@ -300,14 +293,7 @@ def run_episode(
         step += 1
         clock = step * dt
 
-        state = WorldState(
-            clock=clock,
-            longitudinal_gap=gap,
-            vehicle_speed=speed,
-            pedestrians=active,
-            pending_arrivals=len(schedule) - spawned,
-        )
-        if detect_crash(state, config):
+        if detect_crash(gap, active, config):
             crashed = True
             crash_time = clock
             break

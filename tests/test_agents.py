@@ -18,6 +18,7 @@ from crossingsim.agents import (
     select_governing,
     soft_yield_decide,
 )
+from crossingsim.ingest import reference_generator
 from crossingsim.mixture import GaussianMixture, TruncationBox
 
 
@@ -144,7 +145,48 @@ class TestPedestrian:
             Pedestrian(0.0, "near", 1.0, 9.0, progress=9.5)
 
 
+# (range, speed, seed, walk speed, fallback) on the reference model,
+# recorded from the earlier implementation that marginalized the model to
+# (1/R, v, v_p) and conditioned the marginal on every call.  Moving
+# vehicles, stopped vehicles (range alone is observed) and vehicles at or
+# past the line (fallback to the v_p marginal).
+WALK_SPEED_CORPUS = [
+    (45.0, 5.0, 101, 0.797123278199449, False),
+    (30.0, 5.0, 102, 1.6151508660534597, False),
+    (22.5, 4.2, 103, 0.9966395494018145, False),
+    (15.0, 3.1, 104, 1.2010859913272296, False),
+    (9.0, 2.4, 105, 1.6910583462378788, False),
+    (5.5, 1.7, 106, 1.115524691815262, False),
+    (3.0, 0.9, 107, 0.5817845321809842, False),
+    (1.2, 0.4, 108, 1.2111510720329437, False),
+    (60.0, 8.0, 109, 1.4310720294749957, False),
+    (12.0, 6.5, 110, 1.5108441555039172, False),
+    (0.5, 5.0, 111, 1.6142747594097084, False),
+    (28.0, 0.05, 112, 1.1381939180960052, False),
+    (30.0, 0.0, 201, 1.1057826202065189, False),
+    (12.0, 0.0, 202, 1.2290092207079872, False),
+    (4.0, 0.0, 203, 1.0037319274123637, False),
+    (0.8, 0.0, 204, 1.3112055441737638, False),
+    (0.0, 5.0, 301, 0.8948233279499757, True),
+    (-1.0, 4.0, 302, 1.2666140513363933, True),
+    (-4.9, 0.0, 303, 1.1518018313955536, True),
+    (-2.5, 2.2, 304, 1.3593933122493316, True),
+]
+
+
+@pytest.fixture(scope="module")
+def reference_model():
+    return reference_generator()
+
+
 class TestDecideWalkSpeed:
+    @pytest.mark.parametrize("vehicle_range,vehicle_speed,seed,speed,fallback", WALK_SPEED_CORPUS)
+    def test_recorded_decisions(
+        self, reference_model, vehicle_range, vehicle_speed, seed, speed, fallback
+    ):
+        got = decide_walk_speed(reference_model, vehicle_range, vehicle_speed, seed)
+        assert got == (speed, fallback)
+
     def test_deterministic(self):
         model = diagonal_model()
         a = decide_walk_speed(model, 25.0, 6.0, seed=99)

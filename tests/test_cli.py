@@ -413,6 +413,13 @@ class TestArgumentHandling:
         bad.write_text('{"mixtur": {"k_min": 1}}')
         assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_USAGE
 
-    def test_nonpositive_parallel_is_usage_error(self, tmp_path):
-        argv = ["gen-data", "--out", str(tmp_path), "--parallel", "0"]
+    def test_nonpositive_parallel_is_usage_error(self, tmp_path, capsys):
+        reference_generator().save(tmp_path / "model.json")
+        argv = ["evaluate", "--out", str(tmp_path), "--parallel", "0"]
         assert main(argv) == EXIT_USAGE
+        assert "--parallel must be >= 1" in capsys.readouterr().err
+
+    def test_parallel_is_an_evaluate_option_only(self, tmp_path, capsys):
+        argv = ["fit", "--out", str(tmp_path), "--parallel", "2"]
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err

@@ -22,7 +22,6 @@ class TestDefaults:
         assert cfg.agents.av_strategy == "soft-yield"
         assert cfg.eval.n_experiments == 50
         assert cfg.eval.mu_0 is None and cfg.eval.kappa_0 is None
-        assert cfg.ingest.sample_stride == 0.5
         assert cfg.paths.model == "model.json"
 
     def test_empty_document_is_all_defaults(self):
@@ -55,8 +54,6 @@ class TestSectionValidation:
     def test_ingest_bounds(self):
         with pytest.raises(ValueError):
             IngestConfig(n_synthetic=-1)
-        with pytest.raises(ValueError):
-            IngestConfig(sample_stride=-0.5)
 
 
 class TestRoundTrip:

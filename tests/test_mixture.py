@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm, truncnorm
 
+from crossingsim import mixture
 from crossingsim.mixture import (
     Conditioner,
     ConditioningError,
@@ -485,6 +486,80 @@ class TestConditioner:
         for values in [[0.5], [0.5, 0.5, 0.5], [0.5, math.inf], [0.5, -0.1]]:
             with pytest.raises(ValueError):
                 conditioner(values)
+
+
+    def test_free_dims_equal_marginalize_then_condition(self):
+        rng = np.random.Generator(np.random.PCG64(3004))
+        for trial in range(20):
+            box = TruncationBox.positive_orthant(4) if trial % 2 else None
+            model = random_mixture(rng, dim=4, truncation=box)
+            n_obs = int(rng.integers(1, 4))
+            dims = rng.permutation(4)
+            obs = np.sort(dims[:n_obs])
+            free = dims[n_obs : n_obs + int(rng.integers(1, 5 - n_obs))]
+            values = rng.uniform(0.1, 2.0, size=n_obs)
+            # Free dims first, in the requested order, so the marginal's
+            # unobserved dims come out in that order.
+            marginal = model.marginalize(np.concatenate([free, obs]))
+            want = marginal.condition(np.arange(free.size, free.size + n_obs), values)
+            got = model.condition(obs, values, free)
+            assert got == want
+            np.testing.assert_array_equal(got.sample(20, seed=trial), want.sample(20, seed=trial))
+
+    def test_free_dims_match_condition_then_marginalize(self):
+        rng = np.random.Generator(np.random.PCG64(3005))
+        for _ in range(20):
+            model = random_mixture(rng, dim=4)
+            n_obs = int(rng.integers(1, 4))
+            obs = np.sort(rng.choice(4, size=n_obs, replace=False))
+            rest = np.setdiff1d(np.arange(4), obs)
+            keep = rng.permutation(rest.size)[: int(rng.integers(1, rest.size + 1))]
+            values = rng.uniform(-3.0, 3.0, size=n_obs)
+            want = model.condition(obs, values).marginalize(keep)
+            got = model.condition(obs, values, rest[keep])
+            for a, b in [
+                (got.weights, want.weights),
+                (got.means, want.means),
+                (got.covariances, want.covariances),
+            ]:
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_bad_free_dims_rejected(self):
+        model = random_mixture(np.random.Generator(np.random.PCG64(3006)), dim=4)
+        for free in [[], [1, 2], [0], [2, 2], [4], [-1]]:
+            with pytest.raises(ValueError):
+                model.condition([0, 1], [0.5, 0.5], free)
+
+    def test_condition_builds_one_conditioner_per_key(self, monkeypatch):
+        built = []
+
+        class Counting(Conditioner):
+            def __init__(self, *args):
+                built.append(args[1:])
+                super().__init__(*args)
+
+        monkeypatch.setattr(mixture, "Conditioner", Counting)
+        model = random_mixture(np.random.Generator(np.random.PCG64(3007)), dim=4)
+        for values in ([0.1, 0.2], [0.3, 0.4], [0.5, 0.6]):
+            first = model.condition([0, 2], values)
+            assert model.condition(np.array([0, 2]), values) == first
+            model.condition([0, 2], values, [3])
+            model.condition([0, 2], values, (3,))
+        assert built == [((0, 2), None), ((0, 2), (3,))]
+
+    def test_failed_build_is_not_cached(self, monkeypatch):
+        attempts = []
+
+        def singular(*args):
+            attempts.append(args[1:])
+            raise ConditioningError("an observed-block covariance is singular")
+
+        monkeypatch.setattr(mixture, "Conditioner", singular)
+        model = random_mixture(np.random.Generator(np.random.PCG64(3008)), dim=4)
+        for _ in range(2):
+            with pytest.raises(ConditioningError):
+                model.condition([1], [0.5])
+        assert len(attempts) == 2
 
 
 class TestSampling:

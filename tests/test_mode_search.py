@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from crossingsim import agents
+from crossingsim import mixture
 from crossingsim.agents import HumanDriver, HumanDriverParams, Pedestrian
 from crossingsim.ingest import reference_generator
 from crossingsim.mixture import (
@@ -243,10 +243,10 @@ class TestHumanDriverDecisions:
             conditional_mode(conditional, interval)
 
     def test_failed_conditioner_build_falls_back_on_every_update(self, monkeypatch):
-        def singular(model, dims):
+        def singular(*args):
             raise ConditioningError("an observed-block covariance is singular")
 
-        monkeypatch.setattr(agents, "Conditioner", singular)
+        monkeypatch.setattr(mixture, "Conditioner", singular)
         driver = HumanDriver(reference_generator(), HumanDriverParams())
         walker = Pedestrian(arrival_time=0.0, side="near", walk_speed=1.3, crossing_length=9.0)
         for clock in (0.0, 1.0):

@@ -19,7 +19,6 @@ from crossingsim.sim import (
     EpisodeResult,
     PairResult,
     SimConfig,
-    WorldState,
     detect_crash,
     experiment_schedule,
     run_episode,
@@ -76,27 +75,27 @@ class TestSimConfig:
 class TestDetectCrash:
     CFG = SimConfig()
 
-    def state(self, gap, progress):
+    def crash(self, gap, progress):
         walker = Pedestrian(0.0, "near", 1.0, 9.0, progress=progress)
-        return WorldState(0.0, gap, 5.0, [walker], 0)
+        return detect_crash(gap, [walker], self.CFG)
 
     def test_overlap_inside_strip_is_a_crash(self):
-        assert detect_crash(self.state(gap=-2.0, progress=4.5), self.CFG)
+        assert self.crash(gap=-2.0, progress=4.5)
 
     def test_strip_boundary_counts(self):
         # progress 3.5 -> lateral -1.0, exactly half the vehicle width.
-        assert detect_crash(self.state(gap=0.0, progress=3.5), self.CFG)
+        assert self.crash(gap=0.0, progress=3.5)
 
     def test_vehicle_not_on_the_line_is_safe(self):
-        assert not detect_crash(self.state(gap=0.1, progress=4.5), self.CFG)
-        assert not detect_crash(self.state(gap=-5.1, progress=4.5), self.CFG)
+        assert not self.crash(gap=0.1, progress=4.5)
+        assert not self.crash(gap=-5.1, progress=4.5)
 
     def test_pedestrian_outside_strip_is_safe(self):
-        assert not detect_crash(self.state(gap=-2.0, progress=2.0), self.CFG)
-        assert not detect_crash(self.state(gap=-2.0, progress=6.0), self.CFG)
+        assert not self.crash(gap=-2.0, progress=2.0)
+        assert not self.crash(gap=-2.0, progress=6.0)
 
     def test_no_pedestrians_is_safe(self):
-        assert not detect_crash(WorldState(0.0, -2.0, 5.0, [], 0), self.CFG)
+        assert not detect_crash(-2.0, [], self.CFG)
 
 
 class TestFreeFlow:

@@ -234,6 +234,8 @@ def cmd_condition(config: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError("--points must be >= 16")
     if max(obs_dims) >= model.dim:
         raise UsageError(f"model has dimension {model.dim}; assignment out of range")
+    if free_idx >= model.dim:
+        raise UsageError(f"model has dimension {model.dim}; --free {free_name} out of range")
 
     curve = model.condition(obs_dims, values, [free_idx])
 

@@ -5,12 +5,15 @@ mixture, agents, eval, ingest, paths) plus a single master seed; every
 per-purpose random stream is derived from that seed, so one knob
 reproduces a full study.  Unknown keys anywhere are errors: a silently
 ignored typo in an experiment config corrupts results far downstream.
+So are values of the wrong type: an integer field takes an integer (not
+a bool or a float), a float field any finite number.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -202,12 +205,33 @@ def _require_mapping(value: object, name: str) -> None:
 
 
 def _section(doc: dict, name: str, target: type, parent: str = "") -> dict:
-    """Pop section ``name`` and check its keys against ``target``'s fields."""
+    """Pop section ``name`` and check its keys and values against ``target``'s fields.
+
+    Numbers in float fields come back as floats.
+    """
     raw = doc.pop(name, {})
     label = f"{parent}.{name}" if parent else name
     _require_mapping(raw, label)
-    allowed = set(target.__dataclass_fields__)
-    unknown = set(raw) - allowed
+    unknown = set(raw) - set(target.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown keys in section {label!r}: {sorted(unknown)}")
-    return dict(raw)
+    kinds = typing.get_type_hints(target)
+    return {key: _typed(f"{label}.{key}", value, kinds[key]) for key, value in raw.items()}
+
+
+def _typed(key: str, value: object, kind: object) -> object:
+    """``value`` checked against ``kind``: int, float, str, or Optional of one."""
+    if typing.get_origin(kind) is Union:
+        if value is None:
+            return None
+        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+    return value

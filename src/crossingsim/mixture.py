@@ -15,7 +15,12 @@ closed-form M-step corrections built from the first and second moments
 of each component over the box.
 
 Moment evaluation is exact for one-dimensional components and Monte
-Carlo (seeded rejection sampling) otherwise.
+Carlo (seeded rejection sampling) otherwise.  A Monte Carlo evaluation
+with accepted-draw target n first draws one block of max(4n, 8192)
+standard normals and keeps every accepted draw in it, so n = 2000 on a
+box of mass near 1 averages about 8190 draws, not 2000; only a component
+that accepts fewer than n goes on sampling.  EM draws that first block
+once per restart and component and reuses it on every iteration.
 """
 
 from __future__ import annotations
@@ -219,47 +224,97 @@ def _moments_1d(mean: float, var: float, lo: float, hi: float) -> TruncatedMomen
     )
 
 
+def _first_blocks(
+    seeds: Sequence[int], n_accepted: int, dim: int
+) -> tuple[np.ndarray, list[dict]]:
+    """First standard-normal block of each seed's generator, stacked.
+
+    Returns the blocks, shape (len(seeds), max(4 * n_accepted, 8192),
+    dim), and each generator's state after drawing its block, from which
+    :func:`_moments_mc` continues a component that needs more draws.
+    """
+    rows = max(4 * n_accepted, 8192)
+    blocks = np.empty((len(seeds), rows, dim))
+    states = []
+    for j, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rng.standard_normal(out=blocks[j])
+        states.append(rng.bit_generator.state)
+    return blocks, states
+
+
+def _inside(box: TruncationBox, points: np.ndarray) -> np.ndarray:
+    """:meth:`TruncationBox.contains` over the last axis of finite points.
+
+    Tests one column per finite bound, so an infinite bound costs nothing.
+    """
+    inside = np.ones(points.shape[:-1], dtype=bool)
+    for i in np.flatnonzero(np.isfinite(box.lower)):
+        inside &= points[..., i] >= box.lower[i]
+    for i in np.flatnonzero(np.isfinite(box.upper)):
+        inside &= points[..., i] <= box.upper[i]
+    return inside
+
+
 def _moments_mc(
-    mean: np.ndarray,
-    cov: np.ndarray,
+    means: np.ndarray,
+    chols: np.ndarray,
     box: TruncationBox,
     n_accepted: int,
-    seed: int,
-    max_draws: Optional[int] = None,
+    blocks: np.ndarray,
+    states: Sequence[dict],
+) -> list[TruncatedMoments]:
+    """Rejection-sampled moments of box-truncated normals, one per component.
+
+    Component j is N(means[j], chols[j] chols[j]^T), sampled as
+    means[j] + chols[j] z with the rows z of ``blocks[j]`` first (see
+    :func:`_first_blocks`).  Every accepted draw of that block is kept.
+    A component that accepts fewer than ``n_accepted`` continues from
+    ``states[j]`` in chunks scaled to its observed acceptance rate,
+    within a budget of max(200 * n_accepted, 2e6) draws.  The mass is
+    accepted / drawn; mean and covariance are those of the accepted draws.
+
+    Components are taken one at a time, so the temporaries hold one
+    block, not K.
+    """
+    budget = max(200 * n_accepted, 2_000_000)
+    out = []
+    for j in range(means.shape[0]):
+        z, rng = blocks[j], None
+        kept, drawn, accepted = [], 0, 0
+        while True:
+            x = z @ chols[j].T
+            x += means[j]
+            kept.append(x[_inside(box, x)])
+            drawn += z.shape[0]
+            accepted += kept[-1].shape[0]
+            if accepted >= n_accepted or drawn >= budget:
+                break
+            if rng is None:
+                rng = np.random.Generator(np.random.PCG64())
+                rng.bit_generator.state = states[j]
+            rate = max(accepted / drawn, 1e-3)
+            chunk = int(min(max((n_accepted - accepted) / rate * 1.2, 8192), 4_000_000))
+            z = rng.standard_normal((min(chunk, budget - drawn), means.shape[1]))
+        if accepted < max(2, n_accepted // 200):
+            raise DegenerateTruncationError(
+                f"rejection sampling accepted {accepted}/{drawn} draws; "
+                "box mass is too small to estimate"
+            )
+        sample = kept[0] if len(kept) == 1 else np.concatenate(kept, axis=0)
+        t_mean = sample.mean(axis=0)
+        centered = sample - t_mean
+        t_cov = centered.T @ centered / sample.shape[0]
+        out.append(TruncatedMoments(mass=accepted / drawn, mean=t_mean, covariance=t_cov))
+    return out
+
+
+def _seeded_moments_mc(
+    mean: np.ndarray, chol: np.ndarray, box: TruncationBox, n_accepted: int, seed: int
 ) -> TruncatedMoments:
-    """Rejection-sampled moments of a box-truncated multivariate normal."""
-    dim = mean.shape[0]
-    rng = np.random.Generator(np.random.PCG64(seed))
-    chol = np.linalg.cholesky(cov)
-    budget = max_draws if max_draws is not None else max(200 * n_accepted, 2_000_000)
-    kept: list[np.ndarray] = []
-    drawn = 0
-    accepted = 0
-    chunk = max(4 * n_accepted, 8192)
-    while accepted < n_accepted and drawn < budget:
-        take = min(chunk, budget - drawn)
-        z = rng.standard_normal((take, dim))
-        x = mean + z @ chol.T
-        inside = box.contains(x)
-        drawn += take
-        hits = x[inside]
-        if hits.size:
-            kept.append(hits)
-            accepted += hits.shape[0]
-        # Scale the next chunk to the observed acceptance rate.
-        rate = max(accepted / drawn, 1e-3)
-        chunk = int(min(max((n_accepted - accepted) / rate * 1.2, 8192), 4_000_000))
-    if accepted < max(2, n_accepted // 200):
-        raise DegenerateTruncationError(
-            f"rejection sampling accepted {accepted}/{drawn} draws; "
-            "box mass is too small to estimate"
-        )
-    sample = np.concatenate(kept, axis=0)
-    mass = accepted / drawn
-    t_mean = sample.mean(axis=0)
-    centered = sample - t_mean
-    t_cov = centered.T @ centered / sample.shape[0]
-    return TruncatedMoments(mass=mass, mean=t_mean, covariance=t_cov)
+    """:func:`_moments_mc` of one component whose draws come from ``seed``."""
+    blocks, states = _first_blocks([seed], n_accepted, mean.shape[0])
+    return _moments_mc(mean[None], chol[None], box, n_accepted, blocks, states)[0]
 
 
 def truncated_moments(
@@ -277,7 +332,9 @@ def truncated_moments(
         method: "exact" (1-D closed forms, or any dimension with an
             unbounded box), "mc" (seeded rejection sampling), or "auto"
             which picks exact where available and Monte Carlo otherwise.
-        n_accepted: accepted-draw target for the Monte Carlo path.
+        n_accepted: accepted-draw target n for the Monte Carlo path.  The
+            first block has max(4n, 8192) draws and every accepted draw
+            in it is kept, so the estimate can use several times n.
         seed: Monte Carlo seed; identical inputs give identical output.
 
     Raises:
@@ -301,7 +358,8 @@ def truncated_moments(
             float(box.lower[0]),
             float(box.upper[0]),
         )
-    return _moments_mc(component.mean, component.covariance, box, n_accepted, seed)
+    chol = np.linalg.cholesky(component.covariance)
+    return _seeded_moments_mc(component.mean, chol, box, n_accepted, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +377,19 @@ def _dim_index(dims: Sequence[int], dim: int, what: str) -> np.ndarray:
     if (idx < 0).any() or (idx >= dim).any():
         raise ValueError(f"{what} out of range for dim {dim}")
     return idx
+
+
+def _component_log_densities(
+    rows: np.ndarray, means: np.ndarray, chols: np.ndarray
+) -> np.ndarray:
+    """Untruncated log densities of N(means[k], chols[k] chols[k]^T), shape (n, K)."""
+    dim = means.shape[1]
+    out = np.empty((rows.shape[0], means.shape[0]))
+    for k, chol in enumerate(chols):
+        solved = solve_triangular(chol, (rows - means[k]).T, lower=True, check_finite=False)
+        log_det = np.log(np.diagonal(chol)).sum()
+        out[:, k] = -0.5 * dim * _LOG_2PI - log_det - 0.5 * (solved * solved).sum(axis=0)
+    return out
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -488,20 +559,6 @@ class GaussianMixture:
             self._chols = np.linalg.cholesky(self.covariances)
         return self._chols
 
-    def _component_log_densities(self, rows: np.ndarray) -> np.ndarray:
-        """Untruncated per-component log densities, shape (n, K)."""
-        chols = self._cholesky_factors()
-        n = rows.shape[0]
-        out = np.empty((n, self.n_components))
-        for k in range(self.n_components):
-            chol = chols[k]
-            solved = solve_triangular(
-                chol, (rows - self.means[k]).T, lower=True, check_finite=False
-            )
-            log_det = np.log(np.diagonal(chol)).sum()
-            out[:, k] = -0.5 * self.dim * _LOG_2PI - log_det - 0.5 * (solved * solved).sum(axis=0)
-        return out
-
     def component_box_masses(self, n_accepted: int = 20_000) -> np.ndarray:
         """Per-component probability mass inside the truncation box.
 
@@ -532,13 +589,16 @@ class GaussianMixture:
                 )
             self._box_masses = masses
             return masses
+        # One component at a time: a block has max(4 * n_accepted, 8192) rows.
+        chols = self._cholesky_factors()
         masses = np.array(
             [
-                truncated_moments(
-                    GaussianComponent(self.means[k], self.covariances[k]),
+                _seeded_moments_mc(
+                    self.means[k],
+                    chols[k],
                     self.truncation,
-                    n_accepted=n_accepted,
-                    seed=derive_seed(_MASS_SEED, "box-mass", k),
+                    n_accepted,
+                    derive_seed(_MASS_SEED, "box-mass", k),
                 ).mass
                 for k in range(self.n_components)
             ]
@@ -570,9 +630,8 @@ class GaussianMixture:
     def log_density_rows(self, rows: np.ndarray) -> np.ndarray:
         """Log mixture density per row; -inf outside the truncation box."""
         rows = np.asarray(rows, dtype=float)
-        log_mix = logsumexp(
-            self._component_log_densities(rows) + _log_weights(self.weights), axis=1
-        )
+        log_dens = _component_log_densities(rows, self.means, self._cholesky_factors())
+        log_mix = logsumexp(log_dens + _log_weights(self.weights), axis=1)
         if self.truncation is not None:
             log_mix = log_mix - math.log(self.normalization())
             log_mix = np.where(self.truncation.contains(rows), log_mix, -np.inf)
@@ -881,8 +940,12 @@ class FitConfig:
 
     truncation_mode selects between a plain mixture fit ("none") and the
     missing-data corrected fit over a box ("truncated").
-    mc_moment_draws is the accepted-draw target for Monte Carlo moment
-    evaluations inside the truncated M-step (dimensions above one).
+    mc_moment_draws is the accepted-draw target n for Monte Carlo moment
+    evaluations inside the truncated M-step (dimensions above one).  Each
+    evaluation keeps every accepted draw of a first block of max(4n, 8192)
+    draws, so n = 2000 uses about 8190 draws when the box mass is near 1.
+    EM draws that block once per restart and component and reuses it on
+    every iteration; the blocks take K * max(4n, 8192) * d doubles.
     """
 
     n_components: int
@@ -1026,31 +1089,43 @@ def em_fit(
         weights = np.full(k, 1.0 / k)
         means = _kmeanspp_means(data, k, rng)
         covs = np.repeat(pooled[None, :, :], k, axis=0)
+        if truncated and dim > 1:
+            # Common random numbers: one draw block per restart and
+            # component, reused by every iteration, so the Monte Carlo
+            # log-likelihood is a deterministic function of the parameters
+            # and the convergence test sees real progress instead of
+            # resampling noise.
+            blocks, states = _first_blocks(
+                [derive_seed(config.seed, f"em-mc-{restart}", j) for j in range(k)],
+                config.mc_moment_draws,
+                dim,
+            )
         trace: list[float] = []
         reinits: list[tuple[int, int]] = []
         converged = False
         prev_ll = -np.inf
         for iteration in range(config.max_iterations + 1):
-            model_like = GaussianMixture(weights / weights.sum(), means, covs)
-            log_dens = model_like._component_log_densities(data)
-            log_weighted = log_dens + np.log(weights)
-            row_ll = logsumexp(log_weighted, axis=1)
+            # An overflowing fit stops here with a ValueError, which
+            # select_components records as a failure for this K.
+            for name, values in (("weights", weights), ("means", means), ("covariances", covs)):
+                if not np.isfinite(values).all():
+                    raise ValueError(f"{name} must be finite")
+            chols = np.linalg.cholesky(covs)
+            log_weighted = _component_log_densities(data, means, chols) + np.log(weights)
+            top = log_weighted.max(axis=1)
+            row_ll = top + np.log(np.exp(log_weighted - top[:, None]).sum(axis=1))
             moments = None
             if truncated:
-                # Moment seeds are fixed per restart and component (not per
-                # iteration): with common random numbers the Monte Carlo
-                # log-likelihood is a deterministic function of the
-                # parameters, so the convergence test sees real progress
-                # instead of resampling noise.
-                moments = [
-                    truncated_moments(
-                        GaussianComponent(means[j], covs[j]),
-                        box,
-                        n_accepted=config.mc_moment_draws,
-                        seed=derive_seed(config.seed, f"em-mc-{restart}", j),
+                if dim == 1:
+                    lo, hi = float(box.lower[0]), float(box.upper[0])
+                    moments = [
+                        _moments_1d(float(means[j, 0]), float(covs[j, 0, 0]), lo, hi)
+                        for j in range(k)
+                    ]
+                else:
+                    moments = _moments_mc(
+                        means, chols, box, config.mc_moment_draws, blocks, states
                     )
-                    for j in range(k)
-                ]
                 masses = np.array([m.mass for m in moments])
                 total_mass = float(weights @ masses)
                 ll = float(row_ll.sum()) - n * math.log(total_mass)

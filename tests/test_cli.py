@@ -92,6 +92,40 @@ def malformed_model_documents(draw):
     return json.dumps(doc)
 
 
+VALID_CONFIG = RunConfig().to_document()
+
+
+def config_leaves(doc, path=()):
+    """(key path, value) of every field of a config document."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+CONFIG_FIELDS = list(config_leaves(VALID_CONFIG))
+NOT_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400])
+
+
+@st.composite
+def malformed_config_documents(draw):
+    """A valid config document with one field of the wrong type, as JSON text."""
+    doc = json.loads(json.dumps(VALID_CONFIG))
+    path, default = draw(st.sampled_from(CONFIG_FIELDS))
+    if isinstance(default, str):
+        bad = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.lists(st.text()))
+    elif isinstance(default, int):  # integer fields take no float, bool or null
+        bad = st.one_of(st.floats(), NOT_NUMBERS, st.none())
+    else:  # a float, or an optional float whose default is null
+        bad = st.one_of(NOT_NUMBERS, NOT_FINITE)
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = draw(bad)
+    return json.dumps(doc)
+
+
 def read_two_columns(path):
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     rows = np.array([[float(f) for f in line.split(",")] for line in lines[1:]])
@@ -266,6 +300,16 @@ class TestCondition:
         assert main(argv) == EXIT_USAGE
         assert "model has dimension 2" in capsys.readouterr().err
 
+    def test_free_beyond_model_dimension_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, RunConfig())
+        reference_generator().marginalize([0, 1]).save(tmp_path / "model.json")
+        argv = [
+            "condition", "--config", str(cfg), "--out", str(tmp_path),
+            "--given", "inv_R=0.1", "--free", "inv_T_adv",
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert "model has dimension 2" in capsys.readouterr().err
+
     def test_missing_model_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, RunConfig())
         argv = ["condition", "--config", str(cfg), "--out", str(tmp_path), "--given", "v=5.0"]
@@ -412,6 +456,16 @@ class TestArgumentHandling:
         bad = tmp_path / "bad.json"
         bad.write_text('{"mixtur": {"k_min": 1}}')
         assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_USAGE
+
+    @settings(max_examples=150)
+    @given(document=malformed_config_documents())
+    def test_mistyped_config_values_are_usage_errors(self, tmp_path_factory, document):
+        with pytest.raises(ValueError):
+            RunConfig.from_document(json.loads(document))
+        out = tmp_path_factory.mktemp("mistyped")
+        (out / "config.json").write_text(document)
+        argv = ["gen-data", "--config", str(out / "config.json"), "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
 
     def test_nonpositive_parallel_is_usage_error(self, tmp_path, capsys):
         reference_generator().save(tmp_path / "model.json")

@@ -26,6 +26,7 @@ from crossingsim.mixture import (
     select_components,
     truncated_moments,
 )
+from crossingsim.ingest import reference_generator
 from crossingsim.seeds import derive_seed
 
 # Unit normal truncated to [0, inf): mass 1/2, mean sqrt(2/pi), var 1 - 2/pi.
@@ -132,6 +133,45 @@ class TestTruncatedMomentsExact:
             truncated_moments(std_component(), TruncationBox.positive_orthant(2))
 
 
+def reference_moments_mc(mean, cov, box, n_accepted, seed):
+    """Rejection-sampled moments, one component per call, drawing from the seed.
+
+    The loop that EM ran for every component on every iteration before
+    it kept one draw block per restart; the Monte Carlo path must still
+    give these bits.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    chol = np.linalg.cholesky(cov)
+    budget = max(200 * n_accepted, 2_000_000)
+    kept, drawn, accepted = [], 0, 0
+    chunk = max(4 * n_accepted, 8192)
+    while accepted < n_accepted and drawn < budget:
+        take = min(chunk, budget - drawn)
+        x = mean + rng.standard_normal((take, mean.shape[0])) @ chol.T
+        drawn += take
+        hits = x[box.contains(x)]
+        if hits.size:
+            kept.append(hits)
+            accepted += hits.shape[0]
+        rate = max(accepted / drawn, 1e-3)
+        chunk = int(min(max((n_accepted - accepted) / rate * 1.2, 8192), 4_000_000))
+    if accepted < max(2, n_accepted // 200):
+        raise DegenerateTruncationError("too few accepted draws")
+    sample = np.concatenate(kept, axis=0)
+    centered = sample - sample.mean(axis=0)
+    return mixture.TruncatedMoments(
+        mass=accepted / drawn,
+        mean=sample.mean(axis=0),
+        covariance=centered.T @ centered / sample.shape[0],
+    )
+
+
+def assert_same_moments(got, want):
+    assert got.mass == want.mass
+    np.testing.assert_array_equal(got.mean, want.mean)
+    np.testing.assert_array_equal(got.covariance, want.covariance)
+
+
 class TestTruncatedMomentsMonteCarlo:
     def test_matches_exact_path_in_one_dimension(self):
         comp = GaussianComponent(np.array([0.5]), np.array([[1.44]]))
@@ -177,6 +217,44 @@ class TestTruncatedMomentsMonteCarlo:
         box = TruncationBox(np.array([12.0, 12.0]), np.array([13.0, 13.0]))
         with pytest.raises(DegenerateTruncationError):
             truncated_moments(comp, box, method="mc", n_accepted=1_000, seed=0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stacked_kernel_matches_per_component_reference(self, dim):
+        # Means pulled below the box give masses down to a few percent, so
+        # some components accept fewer than n_accepted draws from their
+        # first block and continue sampling.
+        rng = np.random.Generator(np.random.PCG64(40 + dim))
+        n_accepted = 1_000
+        box = TruncationBox(
+            np.r_[0.0, np.full(dim - 1, -np.inf)], np.r_[np.inf, 1.5, np.full(dim - 2, np.inf)]
+        )
+        means = rng.uniform(-2.0, 0.5, size=(6, dim))
+        covs = np.array([a @ a.T + 0.2 * np.eye(dim) for a in rng.uniform(-1, 1, (6, dim, dim))])
+        seeds = [derive_seed(17, "kernel", j) for j in range(6)]
+        got = mixture._moments_mc(
+            means, np.linalg.cholesky(covs), box, n_accepted,
+            *mixture._first_blocks(seeds, n_accepted, dim),
+        )
+        continued = 0
+        for j in range(6):
+            want = reference_moments_mc(means[j], covs[j], box, n_accepted, seeds[j])
+            assert_same_moments(got[j], want)
+            one = truncated_moments(
+                GaussianComponent(means[j], covs[j]), box, method="mc",
+                n_accepted=n_accepted, seed=seeds[j],
+            )
+            assert_same_moments(one, want)
+            continued += want.mass < n_accepted / 8192
+        assert continued >= 1
+
+    def test_stacked_kernel_raises_for_any_degenerate_component(self):
+        box = TruncationBox.positive_orthant(2)
+        means = np.array([[1.0, 1.0], [-9.0, -9.0]])
+        chols = np.repeat(np.eye(2)[None], 2, axis=0)
+        with pytest.raises(DegenerateTruncationError):
+            reference_moments_mc(means[1], np.eye(2), box, 1_000, 5)
+        with pytest.raises(DegenerateTruncationError):
+            mixture._moments_mc(means, chols, box, 1_000, *mixture._first_blocks([4, 5], 1_000, 2))
 
 
 class TestMixtureConstruction:
@@ -281,6 +359,18 @@ class TestDensity:
             truncated_moments(far.components[0], far.truncation)
         with pytest.raises(DegenerateTruncationError):
             far.component_box_masses()
+
+    @pytest.mark.parametrize("n_accepted", [2_000, 20_000])
+    def test_four_dim_box_masses_use_the_documented_seeds(self, n_accepted):
+        model = reference_generator()
+        want = [
+            reference_moments_mc(
+                model.means[k], model.covariances[k], model.truncation, n_accepted,
+                derive_seed(mixture._MASS_SEED, "box-mass", k),
+            ).mass
+            for k in range(3)
+        ]
+        assert model.component_box_masses(n_accepted).tolist() == want
 
     def test_log_likelihood_is_row_sum(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -712,6 +802,15 @@ class TestEmFit:
         assert diag.final_loglik == pytest.approx(max(diag.restart_logliks), rel=1e-12)
         assert len(diag.restart_logliks) == 4
 
+    def test_non_finite_parameters_are_a_value_error(self):
+        # Rows near 1e200 overflow the pooled covariance to inf.
+        data = np.random.Generator(np.random.PCG64(18)).uniform(0.0, 1e200, (50, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="must be finite"):
+                em_fit(data, FitConfig(n_components=1, truncation_mode="truncated"))
+            with pytest.raises(ValueError, match="every requested component count failed"):
+                select_components(data, [1], FitConfig(n_components=1))
+
     def test_fit_deterministic_given_seed(self):
         rng = np.random.Generator(np.random.PCG64(15))
         data = np.abs(rng.standard_normal((300, 2)))
@@ -787,6 +886,49 @@ class TestSelectComponents:
         data = self.three_cluster_data(104, n=3)
         with pytest.raises(ValueError):
             select_components(data, [40, 50], FitConfig(n_components=1))
+
+    # Four-dimensional truncated sweeps of reference-generator rows, K = 1..3:
+    # (K, BIC, n_iterations, converged, restart_index, reinit_events) per K,
+    # recorded from the EM that drew fresh moment samples on every iteration.
+    TRUNCATED_CORPUS = {
+        1: [
+            (1, 507.6101368998008, 50, False, 1, []),
+            (2, -176.81068497530237, 50, False, 0, []),
+            (3, -580.7790565714688, 47, True, 1, []),
+        ],
+        3: [
+            (1, 464.918000454576, 50, False, 0, []),
+            (2, -179.99872249618926, 50, False, 1, []),
+            (3, -559.765197925255, 46, True, 0, []),
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(TRUNCATED_CORPUS))
+    def test_truncated_sweep_matches_recorded_corpus(self, seed, monkeypatch):
+        diagnostics = {}
+
+        def recording_em_fit(data, config, box=None):
+            model, diag = em_fit(data, config, box)
+            diagnostics[config.n_components] = diag
+            return model, diag
+
+        monkeypatch.setattr(mixture, "em_fit", recording_em_fit)
+        rows = reference_generator().sample(600, seed=seed)
+        config = FitConfig(
+            n_components=1, truncation_mode="truncated", max_iterations=50,
+            restarts=2, seed=seed, mc_moment_draws=2000,
+        )
+        result = select_components(rows, [1, 2, 3], config)
+        assert [p.n_components for p in result.curve] == [1, 2, 3]
+        for point, (k, value, iterations, converged, restart, reinits) in zip(
+            result.curve, self.TRUNCATED_CORPUS[seed]
+        ):
+            diag = diagnostics[k]
+            assert point.bic_value == pytest.approx(value, rel=1e-9, abs=0.0)
+            assert diag.n_iterations == iterations
+            assert diag.converged == converged
+            assert diag.restart_index == restart
+            assert diag.reinit_events == reinits
 
     def test_bad_k_range(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ conditional mode of the interaction model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -243,15 +243,10 @@ def decide_walk_speed(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrategyDecision:
-    """Commanded acceleration plus bookkeeping for diagnostics."""
+class StrategyDecision(NamedTuple):
+    """Commanded acceleration, and whether the strategy's fallback fired."""
 
     acceleration: float
-    desired_speed: Optional[float] = None
-    decision_time: Optional[float] = None
-    committed_acceleration: Optional[float] = None
-    committed_duration: Optional[float] = None
     fallback: bool = False
 
 
@@ -383,12 +378,9 @@ class SoftYieldStrategy:
         """Commit or revise the plan; True when a new plan was taken."""
         new = [p for p in pedestrians if p.arrival_time not in self._seen]
         self._seen.update(p.arrival_time for p in pedestrians)
-        if not new or longitudinal_gap <= 0:
+        candidate = select_governing(longitudinal_gap, vehicle_speed, new)
+        if candidate is None:
             return False
-        candidate = min(
-            new,
-            key=lambda p: (_advantage_or_inf(longitudinal_gap, vehicle_speed, p), p.arrival_time),
-        )
         if self.decision_taken:
             if clock - self.decision_time >= self.plan.brake_duration:
                 return False  # braking phase over; committed profile persists
@@ -422,14 +414,8 @@ class SoftYieldStrategy:
         accel = 0.0
         if self.decision_taken and clock - self.decision_time < self.plan.brake_duration:
             accel = self.plan.acceleration
-        return StrategyDecision(
-            acceleration=accel,
-            decision_time=self.decision_time if self.decision_taken else None,
-            committed_acceleration=self.plan.acceleration if self.decision_taken else None,
-            committed_duration=self.plan.brake_duration if self.decision_taken else None,
-            # Flag the fallback once, on the step the plan is committed.
-            fallback=fresh and self.plan.full_stop,
-        )
+        # Flag the fallback once, on the step the plan is committed.
+        return StrategyDecision(accel, fresh and self.plan.full_stop)
 
 
 @dataclass(frozen=True)
@@ -473,7 +459,7 @@ class HumanDriver:
         self.params = params
         self.update_interval = params.update_interval
         self._next_update = 0.0
-        self._held = StrategyDecision(acceleration=0.0)
+        self._held = 0.0  # acceleration commanded until the next update
         self._recovering = True
         self._search = self._speed_interval(model)
 
@@ -505,9 +491,7 @@ class HumanDriver:
                 if vehicle_speed < self.params.free_flow_speed
                 else 0.0
             )
-            return StrategyDecision(
-                acceleration=accel, desired_speed=self.params.free_flow_speed
-            )
+            return StrategyDecision(accel)
         self._recovering = False
         try:
             adv = time_advantage(
@@ -526,11 +510,10 @@ class HumanDriver:
             )
             desired = conditional_mode(conditional, self._search)
         except (ValueError, ZeroDivisionError):  # ConditioningError included
-            return StrategyDecision(acceleration=0.0, fallback=True)
+            return StrategyDecision(0.0, fallback=True)
         accel = (desired - vehicle_speed) / self.params.update_interval
         limit = self.params.max_acceleration
-        accel = min(max(accel, -limit), limit)
-        return StrategyDecision(acceleration=accel, desired_speed=desired)
+        return StrategyDecision(min(max(accel, -limit), limit))
 
     def command(
         self,
@@ -539,27 +522,15 @@ class HumanDriver:
         vehicle_speed: float,
         pedestrians: Sequence[Pedestrian],
     ) -> StrategyDecision:
+        fallback = False  # held commands never repeat a failed update's flag
         if clock + 1e-9 >= self._next_update:
             decision = self._recompute(longitudinal_gap, vehicle_speed, pedestrians)
             self._next_update += self.update_interval
-            # Held copies drop the flag so a failed update is counted once.
-            self._held = replace(decision, fallback=False)
-            return self._trim_recovery(decision, vehicle_speed)
-        decision = self._held
-        return self._trim_recovery(decision, vehicle_speed)
-
-    def _trim_recovery(
-        self, decision: StrategyDecision, vehicle_speed: float
-    ) -> StrategyDecision:
-        """Cut recovery acceleration once free-flow speed is reached."""
+            self._held, fallback = decision
         if (
             self._recovering
-            and decision.acceleration > 0.0
+            and self._held > 0.0
             and vehicle_speed >= self.params.free_flow_speed
         ):
-            trimmed = StrategyDecision(
-                acceleration=0.0, desired_speed=self.params.free_flow_speed
-            )
-            self._held = trimmed
-            return trimmed
-        return decision
+            self._held = 0.0
+        return StrategyDecision(self._held, fallback)

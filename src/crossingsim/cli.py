@@ -33,7 +33,7 @@ from crossingsim.ingest import (
     write_observations,
 )
 from crossingsim.metrics import compute_report, write_series
-from crossingsim.mixture import FitConfig, GaussianMixture, select_components
+from crossingsim.mixture import GaussianMixture, select_components
 from crossingsim.scenario import OBS_COLUMNS
 from crossingsim.seeds import derive_seed
 from crossingsim.sim import experiment_schedule, run_episode, run_paired_experiments
@@ -163,20 +163,16 @@ def cmd_fit(config: RunConfig, args: argparse.Namespace) -> int:
     obs_path = _resolve(out_dir, config.paths.observations)
     if not obs_path.is_file():
         raise UsageError(f"observation file not found: {obs_path}")
-    matrix = read_observations(obs_path)
+    try:
+        matrix = read_observations(obs_path)
+    except ValueError as exc:
+        raise UsageError(f"bad observation file {obs_path}: {exc}") from exc
     mix = config.mixture
-    fit_cfg = FitConfig(
-        n_components=mix.k_min,
-        max_iterations=mix.max_iterations,
-        loglik_tolerance=mix.loglik_tolerance,
-        restarts=mix.restarts,
-        covariance_floor=mix.covariance_floor,
-        seed=derive_seed(config.master_seed, "fit", 0),
-        truncation_mode=mix.truncation_mode,
-        mc_moment_draws=mix.mc_moment_draws,
-    )
     result = select_components(
-        matrix.data, range(mix.k_min, mix.k_max + 1), fit_cfg, mix.rate_threshold
+        matrix.data,
+        range(mix.k_min, mix.k_max + 1),
+        mix.fit_config(derive_seed(config.master_seed, "fit", 0)),
+        mix.rate_threshold,
     )
     for k, message in result.failures:
         print(f"fit failed for K={k}: {message}", file=sys.stderr)

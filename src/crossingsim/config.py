@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from crossingsim.agents import HumanDriverParams, SoftYieldParams
+from crossingsim.mixture import FitConfig
 from crossingsim.sim import SimConfig
 
 __all__ = [
@@ -50,8 +51,20 @@ class MixtureConfig:
             raise ValueError(f"need 1 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         if not math.isfinite(self.rate_threshold):
             raise ValueError("rate_threshold must be finite")
-        if self.truncation_mode not in ("none", "truncated"):
-            raise ValueError(f"unknown truncation_mode {self.truncation_mode!r}")
+        self.fit_config(seed=0)  # FitConfig checks the EM knobs
+
+    def fit_config(self, seed: int) -> FitConfig:
+        """EM settings of the sweep, starting at K = k_min."""
+        return FitConfig(
+            n_components=self.k_min,
+            max_iterations=self.max_iterations,
+            loglik_tolerance=self.loglik_tolerance,
+            restarts=self.restarts,
+            covariance_floor=self.covariance_floor,
+            seed=seed,
+            truncation_mode=self.truncation_mode,
+            mc_moment_draws=self.mc_moment_draws,
+        )
 
 
 @dataclass(frozen=True)

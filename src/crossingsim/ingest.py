@@ -202,13 +202,26 @@ def extract_observations(
 
 
 def read_observations(path: Union[str, Path], provenance: str = "real") -> ObservationMatrix:
-    """Read an observation matrix written by :func:`write_observations`."""
+    """Read an observation matrix written by :func:`write_observations`.
+
+    Raises:
+        ValueError: a malformed file: a bad header, text that is not
+            UTF-8 or not CSV, a row without one number per column, or an
+            entry that is not positive and finite.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != OBS_COLUMNS:
-            raise ValueError(f"expected header {','.join(OBS_COLUMNS)}, got {header!r}")
-        rows = [[float(fld) for fld in row] for row in reader if row]
+        rows = []
+        try:
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != OBS_COLUMNS:
+                raise ValueError(f"expected header {','.join(OBS_COLUMNS)}, got {header!r}")
+            for row in filter(None, reader):  # blank lines are skipped
+                if len(row) != OBS_DIM:
+                    raise ValueError(f"expected {OBS_DIM} fields, got {len(row)}")
+                rows.append([float(fld) for fld in row])
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, OBS_DIM))
     return ObservationMatrix(data, provenance=provenance)
 

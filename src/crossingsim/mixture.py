@@ -1306,18 +1306,16 @@ def select_components(
 # relative amount, or after the step cap.
 _MODE_TOLERANCE = 1e-12
 _MODE_MAX_STEPS = 500
+_MODE_GRID_POINTS = 2048
 
 
-def conditional_mode(
-    model: GaussianMixture,
-    interval: tuple[float, float],
-    grid_points: int = 2048,
-) -> float:
+def conditional_mode(model: GaussianMixture, interval: tuple[float, float]) -> float:
     """Highest-density point of a 1-D mixture on a closed interval.
 
-    Scans a uniform grid (endpoints included), then runs the fixed-point
-    mode iteration of Carreira-Perpinan (2000, "Mode-finding for
-    mixtures of Gaussian distributions")
+    Scans a uniform grid of _MODE_GRID_POINTS points (endpoints
+    included), then runs the fixed-point mode iteration of
+    Carreira-Perpinan (2000, "Mode-finding for mixtures of Gaussian
+    distributions")
 
         x <- sum_k r_k(x) m_k / s_k^2  /  sum_k r_k(x) / s_k^2,
 
@@ -1330,7 +1328,7 @@ def conditional_mode(
     has lower density than any grid point.
 
     Raises:
-        ValueError: the model is not 1-D, or a bad interval or grid size.
+        ValueError: the model is not 1-D, or a bad interval.
         DegenerateTruncationError: a component's box mass underflows, as
             in every density evaluation of the model.
     """
@@ -1339,8 +1337,6 @@ def conditional_mode(
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValueError(f"interval must be finite with lo < hi, got ({lo}, {hi})")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
     # Column vectors over the components; points run along axis 1.
     means = model.means[:, :1]
     precisions = 1.0 / model.covariances[:, :, 0]
@@ -1368,7 +1364,7 @@ def conditional_mode(
         log_dens = top + np.log(np.exp(terms - top).sum(axis=0)) - log_c
         return np.where((x >= support_lo) & (x <= support_hi), np.exp(log_dens), 0.0)
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _MODE_GRID_POINTS)
     candidates = [grid[[int(np.argmax(density(grid)))]]]  # first max: lowest tie
     if support_lo <= support_hi:
         x = np.clip(np.append(means, candidates[0]), support_lo, support_hi)

@@ -350,7 +350,6 @@ def _run_one_pair(
     candidate_factory: Callable[[], DrivingStrategy],
     baseline_factory: Callable[[], DrivingStrategy],
     master_seed: int,
-    record_trajectory: bool,
     index: int,
 ) -> PairResult:
     schedule = experiment_schedule(config, master_seed, index)
@@ -363,7 +362,6 @@ def _run_one_pair(
         schedule,
         model=model,
         walk_speed_seeds=walk_seeds,
-        record_trajectory=record_trajectory,
     )
     baseline = run_episode(
         config,
@@ -372,7 +370,6 @@ def _run_one_pair(
         model=model,
         walk_speed_seeds=walk_seeds,
         walk_speeds=candidate.walk_speeds,
-        record_trajectory=record_trajectory,
     )
     return PairResult(index=index, candidate=candidate, baseline=baseline)
 
@@ -385,7 +382,6 @@ def run_paired_experiments(
     n_experiments: int,
     master_seed: int,
     parallel: int = 1,
-    record_trajectory: bool = False,
 ) -> list[PairResult]:
     """Run candidate/baseline episode pairs over shared realizations.
 
@@ -405,7 +401,6 @@ def run_paired_experiments(
         candidate_factory,
         baseline_factory,
         master_seed,
-        record_trajectory,
     )
     indices = range(n_experiments)
     if parallel == 1:

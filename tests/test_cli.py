@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from crossingsim.cli import EXIT_GATE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from crossingsim.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
 from crossingsim.config import (
     AgentsConfig,
     EvalConfig,
@@ -19,7 +19,7 @@ from crossingsim.config import (
     MixtureConfig,
     RunConfig,
 )
-from crossingsim.ingest import read_trajectories, reference_generator
+from crossingsim.ingest import read_observations, read_trajectories, reference_generator
 from crossingsim.metrics import EvaluationReport
 from crossingsim.mixture import GaussianMixture
 from crossingsim.scenario import OBS_COLUMNS
@@ -126,6 +126,57 @@ def malformed_config_documents(draw):
     return json.dumps(doc)
 
 
+VALID_OBSERVATION_ROWS = [
+    [repr(float(x)) for x in row] for row in reference_generator().sample(4, seed=8)
+]
+def _parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+NOT_FLOATS = st.text(
+    alphabet=st.characters(blacklist_characters=',"\r\n'), max_size=6
+).filter(lambda text: not _parses_as_float(text))
+
+
+@st.composite
+def malformed_observation_files(draw):
+    """A valid observations.csv with exactly one thing broken, as bytes."""
+    header = list(OBS_COLUMNS)
+    rows = [list(row) for row in VALID_OBSERVATION_ROWS]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    col = draw(st.integers(0, len(OBS_COLUMNS) - 1))
+    fault = draw(st.sampled_from(["header", "field", "ragged", "nonpositive", "encoding"]))
+    if fault == "header":
+        header = draw(
+            st.one_of(
+                st.just([]),
+                st.just(header[:col] + header[col + 1 :]),
+                st.just(header[:col] + ["x"] + header[col + 1 :]),
+                st.just(header[::-1]),
+            )
+        )
+    elif fault == "field":
+        row[col] = draw(NOT_FLOATS)
+    elif fault == "ragged":
+        if draw(st.booleans()):
+            del row[col]
+        else:
+            row.append(row[col])
+    elif fault == "nonpositive":
+        row[col] = draw(
+            st.sampled_from(["0", "-0.0", "-1.5", "nan", "inf", "-inf", "1e400"])
+        )
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if fault == "encoding":
+        data = data.replace(row[col].encode(), b"\xff" + row[col].encode(), 1)
+    return data
+
+
 def read_two_columns(path):
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     rows = np.array([[float(f) for f in line.split(",")] for line in lines[1:]])
@@ -197,10 +248,37 @@ class TestFit:
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
         assert "observation file not found" in capsys.readouterr().err
 
-    def test_unparseable_observations_is_runtime_error(self, tmp_path):
+    def test_unparseable_observations_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_fit_config())
         (tmp_path / "observations.csv").write_text(OBS_HEADER + "\nfoo,1,2,3\n")
-        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_RUNTIME
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "bad observation file" in capsys.readouterr().err
+
+    @settings(max_examples=150)
+    @given(text=malformed_observation_files())
+    def test_malformed_observation_files_are_usage_errors(self, tmp_path_factory, text):
+        out = tmp_path_factory.mktemp("observations")
+        (out / "observations.csv").write_bytes(text)
+        with pytest.raises(ValueError):
+            read_observations(out / "observations.csv")
+        assert main(["fit", "--out", str(out)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("restarts", 0),
+            ("max_iterations", 0),
+            ("loglik_tolerance", 0.0),
+            ("loglik_tolerance", -1e-3),
+            ("covariance_floor", -1e-6),
+            ("mc_moment_draws", 99),
+        ],
+    )
+    def test_bad_em_settings_are_usage_errors(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"mixture": {key: value}}))
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
 
 
 class TestCondition:

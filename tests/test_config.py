@@ -35,6 +35,15 @@ class TestSectionValidation:
         with pytest.raises(ValueError):
             MixtureConfig(k_min=0)
 
+    def test_mixture_em_settings_checked_as_fit_settings(self):
+        cfg = MixtureConfig(k_min=2, k_max=4, restarts=3)
+        fit = cfg.fit_config(seed=11)
+        assert (fit.n_components, fit.restarts, fit.seed) == (2, 3, 11)
+        assert fit.truncation_mode == cfg.truncation_mode
+        for bad in ({"restarts": 0}, {"truncation_mode": "censored"}):
+            with pytest.raises(ValueError):
+                MixtureConfig(**bad)
+
     def test_agents_strategy_name(self):
         with pytest.raises(ValueError):
             AgentsConfig(av_strategy="always-brake")

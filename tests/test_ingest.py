@@ -192,6 +192,22 @@ class TestObservationIo:
         with pytest.raises(ValueError):
             read_observations(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.1,5,1.2,abc", "line 3: could not convert"),
+            ("0.1,5,1.2", "line 3: expected 4 fields, got 3"),
+            ("0.1,5,1.2,0.4,7", "line 3: expected 4 fields, got 5"),
+            ("0.1,5," + "1" * 200_000 + ",0.4", "line 3: field larger than field limit"),
+            ("0.1,5,-1.2,0.4", "positive and finite"),
+        ],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, row, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(",".join(OBS_COLUMNS) + "\n0.1,5,1.2,0.4\n" + row + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_observations(path)
+
 
 class TestGenerateSynthetic:
     def test_matches_model_sampling(self):

@@ -167,8 +167,6 @@ class TestConditionalModeErrors:
         for interval in [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)]:
             with pytest.raises(ValueError):
                 conditional_mode(model, interval)
-        with pytest.raises(ValueError):
-            conditional_mode(model, (0.0, 1.0), grid_points=1)
 
     def test_interval_outside_the_box_returns_its_lower_end(self):
         # Zero density everywhere on the interval: every point ties.

@@ -250,6 +250,9 @@ class StrategyDecision(NamedTuple):
     fallback: bool = False
 
 
+_COAST = StrategyDecision(0.0)
+
+
 def _advantage_or_inf(
     longitudinal_gap: float, vehicle_speed: float, ped: Pedestrian
 ) -> float:
@@ -367,17 +370,17 @@ class SoftYieldStrategy:
         self.plan = SoftYieldPlan(0.0, 0.0, False)
         self._governing: Optional[Pedestrian] = None
         self._seen: set[float] = set()
+        self._brake = _COAST  # the committed plan's braking-phase command
 
     def _maybe_decide(
         self,
         clock: float,
         longitudinal_gap: float,
         vehicle_speed: float,
-        pedestrians: Sequence[Pedestrian],
+        new: list[Pedestrian],
     ) -> bool:
-        """Commit or revise the plan; True when a new plan was taken."""
-        new = [p for p in pedestrians if p.arrival_time not in self._seen]
-        self._seen.update(p.arrival_time for p in pedestrians)
+        """Commit or revise the plan for newly seen pedestrians; True when
+        a new plan was taken."""
         candidate = select_governing(longitudinal_gap, vehicle_speed, new)
         if candidate is None:
             return False
@@ -401,6 +404,7 @@ class SoftYieldStrategy:
         self.decision_taken = True
         self.decision_time = clock
         self._governing = candidate
+        self._brake = StrategyDecision(self.plan.acceleration)
         return True
 
     def command(
@@ -410,12 +414,21 @@ class SoftYieldStrategy:
         vehicle_speed: float,
         pedestrians: Sequence[Pedestrian],
     ) -> StrategyDecision:
-        fresh = self._maybe_decide(clock, longitudinal_gap, vehicle_speed, pedestrians)
-        accel = 0.0
-        if self.decision_taken and clock - self.decision_time < self.plan.brake_duration:
-            accel = self.plan.acceleration
-        # Flag the fallback once, on the step the plan is committed.
-        return StrategyDecision(accel, fresh and self.plan.full_stop)
+        # Only a pedestrian not seen before can commit or revise the plan.
+        fresh = False
+        if pedestrians:
+            seen = self._seen
+            new = [p for p in pedestrians if p.arrival_time not in seen]
+            if new:
+                seen.update(p.arrival_time for p in new)
+                fresh = self._maybe_decide(clock, longitudinal_gap, vehicle_speed, new)
+        decision = _COAST  # so is _brake until a plan is taken
+        if clock - self.decision_time < self.plan.brake_duration:
+            decision = self._brake
+        if fresh and self.plan.full_stop:
+            # Flag the fallback once, on the step the plan is committed.
+            return decision._replace(fallback=True)
+        return decision
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from crossingsim.ingest import (
     write_observations,
 )
 from crossingsim.metrics import compute_report, write_series
-from crossingsim.mixture import GaussianMixture, select_components
+from crossingsim.mixture import GaussianMixture, n_free_parameters, select_components
 from crossingsim.scenario import OBS_COLUMNS
 from crossingsim.seeds import derive_seed
 from crossingsim.sim import experiment_schedule, run_episode, run_paired_experiments
@@ -168,6 +168,13 @@ def cmd_fit(config: RunConfig, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"bad observation file {obs_path}: {exc}") from exc
     mix = config.mixture
+    # More rows than free parameters, or the smallest fit is not identified.
+    minimum = n_free_parameters(mix.k_min, matrix.data.shape[1]) + 1
+    if len(matrix) < minimum:
+        raise UsageError(
+            f"{obs_path} has {len(matrix)} observation rows; fitting K={mix.k_min} "
+            f"needs at least {minimum}"
+        )
     result = select_components(
         matrix.data,
         range(mix.k_min, mix.k_max + 1),

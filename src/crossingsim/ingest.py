@@ -16,6 +16,7 @@ stand in for real observations end to end.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -105,31 +106,53 @@ class ObservationMatrix:
         return self.data.shape[0]
 
 
+def _utf8_text(path: Union[str, Path]) -> io.StringIO:
+    """The whole file decoded as UTF-8, ready for csv.reader.
+
+    Decoding up front, not chunk by chunk under the reader, lets a bad
+    byte be reported with the line it sits on.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_trajectories(path: Union[str, Path]) -> list[TrajectoryLog]:
     """Read trajectory logs, grouped by event_id in first-seen order.
 
     Rows with an empty L field are skipped: episode dumps include
     pedestrian-free samples that carry no lateral gap.
+
+    Raises:
+        ValueError: a malformed file, with the line number: a bad
+            header, text that is not UTF-8 or not CSV, a row without
+            exactly 5 fields, a number that does not parse or is not
+            finite, or a time that does not increase within its event.
     """
     groups: dict[str, list[tuple[float, float, float, float]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(_utf8_text(path))
+    try:
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != _TRAJECTORY_HEADER:
-            raise ValueError(
-                f"expected header {','.join(_TRAJECTORY_HEADER)}, got {header!r}"
-            )
-        for row in reader:
-            if not row:
-                continue
+            raise ValueError(f"expected header {','.join(_TRAJECTORY_HEADER)}, got {header!r}")
+        for row in filter(None, reader):  # blank lines are skipped
             if len(row) != 5:
-                raise ValueError(f"expected 5 fields per row, got {row!r}")
+                raise ValueError(f"expected 5 fields per row, got {len(row)}")
             event_id, t_s, r_s, l_s, v_s = (fld.strip() for fld in row)
             if l_s == "":
                 continue
-            groups.setdefault(event_id, []).append(
-                (float(t_s), float(r_s), float(l_s), float(v_s))
-            )
+            values = tuple(float(fld) for fld in (t_s, r_s, l_s, v_s))
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"non-finite value in {row!r}")
+            rows = groups.setdefault(event_id, [])
+            if rows and not values[0] > rows[-1][0]:
+                raise ValueError(f"event {event_id!r}: t must be strictly increasing")
+            rows.append(values)
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from exc
     logs = []
     for event_id, rows in groups.items():
         cols = np.asarray(rows, dtype=float)
@@ -209,19 +232,18 @@ def read_observations(path: Union[str, Path], provenance: str = "real") -> Obser
             UTF-8 or not CSV, a row without one number per column, or an
             entry that is not positive and finite.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = []
-        try:
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != OBS_COLUMNS:
-                raise ValueError(f"expected header {','.join(OBS_COLUMNS)}, got {header!r}")
-            for row in filter(None, reader):  # blank lines are skipped
-                if len(row) != OBS_DIM:
-                    raise ValueError(f"expected {OBS_DIM} fields, got {len(row)}")
-                rows.append([float(fld) for fld in row])
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from exc
+    reader = csv.reader(_utf8_text(path))
+    rows = []
+    try:
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != OBS_COLUMNS:
+            raise ValueError(f"expected header {','.join(OBS_COLUMNS)}, got {header!r}")
+        for row in filter(None, reader):  # blank lines are skipped
+            if len(row) != OBS_DIM:
+                raise ValueError(f"expected {OBS_DIM} fields, got {len(row)}")
+            rows.append([float(fld) for fld in row])
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from exc
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, OBS_DIM))
     return ObservationMatrix(data, provenance=provenance)
 

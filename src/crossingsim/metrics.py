@@ -34,6 +34,40 @@ _FORMAT = "crossingsim-report"
 _VERSION = 1
 
 
+def _required(doc: dict, key: str, prefix: str = ""):
+    if key not in doc:
+        raise ValueError(f"report document lacks key {prefix + key!r}")
+    return doc[key]
+
+
+def _to_float(value, name: str) -> float:
+    # bool is an int subclass, but true is not a number in a report.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"report key {name!r} must be a number, got {value!r}")
+
+
+def _number(doc: dict, key: str, prefix: str = "") -> float:
+    return _to_float(_required(doc, key, prefix), prefix + key)
+
+
+def _numbers(doc: dict, key: str) -> tuple[float, ...]:
+    values = _required(doc, key)
+    if not isinstance(values, list):
+        raise ValueError(f"report key {key!r} must be a list of numbers, got {values!r}")
+    return tuple(_to_float(v, key) for v in values)
+
+
+def _integer(doc: dict, key: str) -> int:
+    value = _required(doc, key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"report key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GateDecision:
     """Aggressiveness thresholds and the strict-inequality verdict."""
@@ -96,31 +130,44 @@ class EvaluationReport:
 
     @classmethod
     def from_document(cls, doc: dict) -> "EvaluationReport":
+        """Rebuild a report from :meth:`to_document` output.
+
+        Raises:
+            ValueError: not a version-1 report, or a key that is missing
+                or holds a value of the wrong type (the message names it).
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(f"a report document is a JSON object, got {type(doc).__name__}")
         if doc.get("format") != _FORMAT:
             raise ValueError(f"not a report document: format={doc.get('format')!r}")
         if doc.get("version") != _VERSION:
             raise ValueError(f"unsupported report version {doc.get('version')!r}")
-        gate_doc = doc.get("gate")
+        gate_doc = _required(doc, "gate")
         gate = None
         if gate_doc is not None:
+            if not isinstance(gate_doc, dict):
+                raise ValueError(f"report key 'gate' must be an object or null, got {gate_doc!r}")
+            passed = _required(gate_doc, "passed", "gate.")
+            if not isinstance(passed, bool):
+                raise ValueError(f"report key 'gate.passed' must be a boolean, got {passed!r}")
             gate = GateDecision(
-                mu_0=float(gate_doc["mu_0"]),
-                kappa_0=float(gate_doc["kappa_0"]),
-                passed=bool(gate_doc["passed"]),
+                mu_0=_number(gate_doc, "mu_0", "gate."),
+                kappa_0=_number(gate_doc, "kappa_0", "gate."),
+                passed=passed,
             )
         return cls(
-            n_pairs=int(doc["n_pairs"]),
-            tau=tuple(float(t) for t in doc["tau"]),
-            running_mean=tuple(float(r) for r in doc["running_mean"]),
-            mu=float(doc["mu"]),
-            sigma=float(doc["sigma"]),
-            cv=float(doc["cv"]),
-            kappa=float(doc["kappa"]),
-            n_excluded=int(doc["n_excluded"]),
-            candidate_crashes=int(doc["candidate_crashes"]),
-            candidate_timeouts=int(doc["candidate_timeouts"]),
-            baseline_crashes=int(doc["baseline_crashes"]),
-            baseline_timeouts=int(doc["baseline_timeouts"]),
+            n_pairs=_integer(doc, "n_pairs"),
+            tau=_numbers(doc, "tau"),
+            running_mean=_numbers(doc, "running_mean"),
+            mu=_number(doc, "mu"),
+            sigma=_number(doc, "sigma"),
+            cv=_number(doc, "cv"),
+            kappa=_number(doc, "kappa"),
+            n_excluded=_integer(doc, "n_excluded"),
+            candidate_crashes=_integer(doc, "candidate_crashes"),
+            candidate_timeouts=_integer(doc, "candidate_timeouts"),
+            baseline_crashes=_integer(doc, "baseline_crashes"),
+            baseline_timeouts=_integer(doc, "baseline_timeouts"),
             gate=gate,
         )
 

@@ -49,6 +49,7 @@ __all__ = [
     "truncated_moments",
     "em_fit",
     "bic",
+    "n_free_parameters",
     "select_components",
     "conditional_mode",
     "Conditioner",
@@ -1216,19 +1217,23 @@ def em_fit(
 # ---------------------------------------------------------------------------
 
 
+def n_free_parameters(n_components: int, dim: int) -> int:
+    """(K-1) free weights plus K*d means plus K*d*(d+1)/2 covariance entries."""
+    k, d = n_components, dim
+    return (k - 1) + k * d + k * d * (d + 1) // 2
+
+
 def bic(model: GaussianMixture, data: np.ndarray) -> float:
     """Bayesian information criterion: -2 log L + p log n.
 
-    The parameter count p is (K-1) free weights plus K*d means plus
-    K*d*(d+1)/2 covariance entries.  Uses the model's own (possibly
-    truncated) likelihood.
+    p is :func:`n_free_parameters` of the model.  Uses the model's own
+    (possibly truncated) likelihood.
     """
     rows = np.atleast_2d(np.asarray(data, dtype=float))
     n = rows.shape[0]
     if n == 0 or rows.size == 0:
         raise ValueError("BIC undefined for empty data")
-    k, d = model.n_components, model.dim
-    p = (k - 1) + k * d + k * d * (d + 1) // 2
+    p = n_free_parameters(model.n_components, model.dim)
     return -2.0 * model.log_likelihood(rows) + p * math.log(n)
 
 

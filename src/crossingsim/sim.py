@@ -217,6 +217,17 @@ def run_episode(
     clock_start: Optional[float] = None
     deadline = lead * dt + config.horizon
 
+    # Loop invariants: every step below repeats the arithmetic of
+    # Pedestrian.advance, Pedestrian.past_path and detect_crash's window.
+    command = strategy.command
+    n_scheduled = len(schedule)
+    times = schedule.times.tolist()
+    trigger_gate = config.trigger_range + 1e-12
+    detection_range = config.detection_range
+    crossing_length = config.crossing_length
+    path_edge = 0.5 * crossing_length + config.vehicle_half_width
+    clear_gap = -2.0 * config.vehicle_half_length  # also the crash window's lower end
+
     active: list[Pedestrian] = []
     spawn_order: dict[int, int] = {}  # object id -> spawn index
     spawned = 0
@@ -231,14 +242,13 @@ def run_episode(
     timed_out = False
 
     step = 0
+    clock = 0.0
     while True:
-        clock = step * dt
-        if clock_start is None and gap <= config.trigger_range + 1e-12:
+        if clock_start is None and gap <= trigger_gate:
             clock_start = clock
-        if clock_start is not None:
+        if clock_start is not None and spawned < n_scheduled:
             rel = clock - clock_start
-            while spawned < len(schedule) and schedule.times[spawned] <= rel + 1e-12:
-                side = schedule.sides[spawned]
+            while spawned < n_scheduled and times[spawned] <= rel + 1e-12:
                 if spawned < n_replayed:
                     speed_choice = float(walk_speeds[spawned])
                     fallback = False
@@ -253,10 +263,10 @@ def run_episode(
                 ped = Pedestrian(
                     # Nominal schedule instant, unique per pedestrian even if
                     # several spawn on the same step.
-                    arrival_time=clock_start + float(schedule.times[spawned]),
-                    side=side,
+                    arrival_time=clock_start + times[spawned],
+                    side=schedule.sides[spawned],
                     walk_speed=speed_choice,
-                    crossing_length=config.crossing_length,
+                    crossing_length=crossing_length,
                 )
                 active.append(ped)
                 spawn_order[id(ped)] = spawned
@@ -264,13 +274,12 @@ def run_episode(
                 decided_fallbacks.append(fallback)
                 spawned += 1
 
-        visible = [
-            p
-            for p in active
-            if gap <= config.detection_range and not p.past_path(config.vehicle_half_width)
-        ]
-        decision = strategy.command(clock, gap, speed, visible)
-        if decision.fallback:
+        if active and gap <= detection_range:
+            visible = [p for p in active if p.progress <= path_edge]
+        else:
+            visible = []
+        acceleration, fallback = command(clock, gap, speed, visible)
+        if fallback:
             strategy_fallbacks += 1
 
         if trajectory is not None:
@@ -286,19 +295,26 @@ def run_episode(
                 trajectory.append(TrajectoryPoint(clock, gap, speed, None, None, None))
 
         # Integrate: acceleration -> speed -> position; speed clamped at 0.
-        speed = max(speed + decision.acceleration * dt, 0.0)
+        speed += acceleration * dt
+        if speed < 0.0:
+            speed = 0.0
         gap -= speed * dt
+        any_finished = False
         for ped in active:
-            ped.advance(dt)
+            progress = min(ped.progress + ped.walk_speed * dt, crossing_length)
+            ped.progress = progress
+            if progress >= crossing_length:
+                any_finished = True
         step += 1
         clock = step * dt
 
-        if detect_crash(gap, active, config):
+        if clear_gap <= gap <= 0.0 and detect_crash(gap, active, config):
             crashed = True
             crash_time = clock
             break
-        active = [p for p in active if not p.finished]
-        if gap <= -2.0 * config.vehicle_half_length:
+        if any_finished:
+            active = [p for p in active if p.progress < crossing_length]
+        if gap <= clear_gap:
             assert clock_start is not None
             passing_time = clock - clock_start
             break
@@ -311,7 +327,7 @@ def run_episode(
         crashed=crashed,
         crash_time=crash_time,
         timed_out=timed_out,
-        arrival_times=tuple(float(t) for t in schedule.times[:spawned]),
+        arrival_times=tuple(times[:spawned]),
         sides=tuple(schedule.sides[:spawned]),
         walk_speeds=tuple(decided_speeds),
         walk_speed_fallbacks=tuple(decided_fallbacks),

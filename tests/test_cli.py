@@ -254,6 +254,38 @@ class TestFit:
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
         assert "bad observation file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 14])
+    def test_too_few_rows_is_usage_error(self, tmp_path, capsys, n_rows):
+        # K=1 in 4-D has 4 means and 10 covariance entries: 14 parameters.
+        cfg = write_config(tmp_path, small_fit_config())
+        rows = [",".join(r) for r in (VALID_OBSERVATION_ROWS * 4)[:n_rows]]
+        (tmp_path / "observations.csv").write_text("\n".join([OBS_HEADER] + rows) + "\n")
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"has {n_rows} observation rows" in err
+        assert "needs at least 15" in err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_minimum_row_count_reaches_the_sweep(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_fit_config())
+        rows = reference_generator().sample(15, seed=8)
+        lines = [OBS_HEADER] + [",".join(repr(float(x)) for x in row) for row in rows]
+        (tmp_path / "observations.csv").write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        assert "selected K=1" in capsys.readouterr().out
+
+    def test_minimum_grows_with_k_min(self, tmp_path, capsys):
+        # K=2 in 4-D: 1 weight, 8 means, 20 covariance entries.
+        cfg = write_config(
+            tmp_path,
+            RunConfig(mixture=MixtureConfig(k_min=2, k_max=2, truncation_mode="none")),
+        )
+        rows = reference_generator().sample(29, seed=8)
+        lines = [OBS_HEADER] + [",".join(repr(float(x)) for x in row) for row in rows]
+        (tmp_path / "observations.csv").write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "has 29 observation rows; fitting K=2 needs at least 30" in capsys.readouterr().err
+
     @settings(max_examples=150)
     @given(text=malformed_observation_files())
     def test_malformed_observation_files_are_usage_errors(self, tmp_path_factory, text):

@@ -1,0 +1,175 @@
+"""Integrated episode results pinned bit for bit against a recording.
+
+``episode_corpus.json`` holds, for every episode of a few fixed
+configurations, each ``EpisodeResult`` field (floats as ``float.hex``)
+and a SHA-256 of the rows that ``record_trajectory=True`` writes.  The
+episodes run with and without recording, and both must match with
+``==``.  ``strategy_corpus.json`` pins the per-step commands; this file
+pins what the engine integrates from them.
+
+Re-record (only for a change that moves results on purpose, and name
+it in CHANGES.md):
+
+    PYTHONPATH=src python3 tests/test_episode_corpus.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from crossingsim.agents import (
+    ArrivalSchedule,
+    HumanDriver,
+    HumanDriverParams,
+    SoftYieldParams,
+    SoftYieldStrategy,
+    StrategyDecision,
+)
+from crossingsim.ingest import reference_generator
+from crossingsim.seeds import derive_seed
+from crossingsim.sim import EpisodeResult, SimConfig, experiment_schedule, run_episode
+
+CORPUS = Path(__file__).with_name("episode_corpus.json")
+
+# Paired soft-yield / human episodes, as run_paired_experiments runs them.
+PAIRED_CASES = {
+    "fixed": dict(sim=dict(fixed_count=3, arrival_rate=0.2), master_seed=11, n=8),
+    "poisson": dict(sim=dict(arrival_mode="poisson", arrival_rate=0.15), master_seed=12, n=8),
+    # Pedestrians spawn at 60 m but are visible only from 40 m.
+    "hidden-spawns": dict(
+        sim=dict(
+            trigger_range=60.0, detection_range=40.0, arrival_mode="poisson", arrival_rate=0.3
+        ),
+        master_seed=13,
+        n=6,
+    ),
+}
+
+# Acceptance test 12's set-up: a vehicle that never brakes, replayed walk
+# speeds, one or three walkers; 19 of these 113 episodes crash.
+CRASH_SPEEDS = [round(0.3 + 0.05 * i, 2) for i in range(55)]
+CRASH_TRIPLES = [(0.6, 0.9, 1.2), (1.45, 0.65, 2.0), (0.7, 0.7, 0.7)]
+
+
+class NeverBrake:
+    def command(self, clock, longitudinal_gap, vehicle_speed, pedestrians):
+        return StrategyDecision(0.0)
+
+
+def _encode(value):
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _trajectory_sha256(rows) -> str:
+    digest = hashlib.sha256()
+    for row in rows:
+        line = ",".join(float.hex(v) if isinstance(v, float) else repr(v) for v in row)
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _fields(result: EpisodeResult) -> dict:
+    return {
+        f.name: _encode(getattr(result, f.name))
+        for f in dataclasses.fields(result)
+        if f.name != "trajectory"
+    }
+
+
+def _both_ways(run) -> tuple[dict, EpisodeResult]:
+    """Run one episode plain and recorded; the plain fields must match.
+
+    Returns the corpus entry and the plain result.
+    """
+    plain = run(False)
+    recorded = run(True)
+    assert plain.trajectory is None
+    fields = _fields(recorded)
+    assert _fields(plain) == fields
+    entry = {"fields": fields, "trajectory_sha256": _trajectory_sha256(recorded.trajectory)}
+    return entry, plain
+
+
+def paired_episodes(case: dict) -> list[dict]:
+    config = SimConfig(**case["sim"])
+    model = reference_generator()
+    master = case["master_seed"]
+    episodes = []
+    for index in range(case["n"]):
+        schedule = experiment_schedule(config, master, index)
+        seeds = [derive_seed(master, f"walk-{index}", j) for j in range(len(schedule))]
+
+        def candidate(record):
+            strategy = SoftYieldStrategy(SoftYieldParams(), config.crossing_length)
+            return run_episode(
+                config, strategy, schedule, model=model, walk_speed_seeds=seeds,
+                record_trajectory=record,
+            )
+
+        first, plain = _both_ways(candidate)
+        speeds = plain.walk_speeds
+
+        def baseline(record):
+            return run_episode(
+                config, HumanDriver(model, HumanDriverParams()), schedule, model=model,
+                walk_speed_seeds=seeds, walk_speeds=speeds, record_trajectory=record,
+            )
+
+        episodes += [first, _both_ways(baseline)[0]]
+    return episodes
+
+
+def crash_episodes() -> list[dict]:
+    config = SimConfig()
+    runs = [((0.0,), (side,), (speed,)) for side in ("near", "far") for speed in CRASH_SPEEDS]
+    runs += [((0.0, 0.8, 1.9), ("near", "far", "near"), triple) for triple in CRASH_TRIPLES]
+    episodes = []
+    for times, sides, speeds in runs:
+        schedule = ArrivalSchedule(np.array(times), sides)
+        entry, _ = _both_ways(
+            lambda record: run_episode(
+                config, NeverBrake(), schedule, walk_speeds=speeds, record_trajectory=record
+            )
+        )
+        episodes.append(entry)
+    return episodes
+
+
+def build_corpus() -> dict:
+    cases = {name: paired_episodes(case) for name, case in PAIRED_CASES.items()}
+    cases["never-brake-crashes"] = crash_episodes()
+    return cases
+
+
+def test_episodes_match_the_recording():
+    corpus = json.loads(CORPUS.read_text())
+    built = build_corpus()
+    # The corpus exercises every way an episode can end.
+    fields = [e["fields"] for episodes in built.values() for e in episodes]
+    assert any(f["crashed"] for f in fields)
+    assert any(f["timed_out"] for f in fields)
+    assert any(f["passing_time"] is not None for f in fields)
+    assert any(f["strategy_fallbacks"] for f in fields)
+    for name in built:
+        assert built[name] == corpus["cases"][name], name
+    assert set(built) == set(corpus["cases"])
+
+
+if __name__ == "__main__":
+    document = {
+        "description": (
+            "Every EpisodeResult field (floats as float.hex) and a SHA-256 of the "
+            "record_trajectory rows, per episode; see tests/test_episode_corpus.py."
+        ),
+        "cases": build_corpus(),
+    }
+    CORPUS.write_text(json.dumps(document, indent=1) + "\n")

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossingsim.ingest import (
     ObservationMatrix,
@@ -98,6 +99,89 @@ class TestTrajectoryIo:
         path = tmp_path / "traj.csv"
         path.write_text("event_id,t,R,L,v\ne,0,30,4\n")
         with pytest.raises(ValueError):
+            read_trajectories(path)
+
+
+TRAJECTORY_HEADER = ["event_id", "t", "R", "L", "v"]
+VALID_TRAJECTORY_ROWS = [
+    ["e", repr(0.2 * i), repr(30.0 - i), repr(4.5 - 0.3 * i), "5.0"] for i in range(4)
+]
+
+
+NOT_FLOATS = st.sampled_from(["abc", "1.2.3", "1e", "--1", "0x1f", "1_", "."])
+
+
+@st.composite
+def malformed_trajectory_files(draw):
+    """A valid trajectory.csv with exactly one thing broken, as bytes.
+
+    Returns the bytes and the line the reader must name.
+    """
+    header = list(TRAJECTORY_HEADER)
+    rows = [list(row) for row in VALID_TRAJECTORY_ROWS]
+    index = draw(st.integers(0, len(rows) - 1))
+    row = rows[index]
+    col = draw(st.integers(1, 4))  # a numeric column
+    fault = draw(
+        st.sampled_from(
+            ["header", "field", "ragged", "nonfinite", "oversized", "order", "encoding"]
+        )
+    )
+    line = index + 2
+    if fault == "header":
+        line = 1
+        header = draw(
+            st.one_of(
+                st.just([]),
+                st.just(header[:col] + header[col + 1 :]),
+                st.just(header[:col] + ["x"] + header[col + 1 :]),
+                st.just(header[::-1]),
+            )
+        )
+    elif fault == "field":
+        row[col] = draw(NOT_FLOATS)
+    elif fault == "ragged":
+        if draw(st.booleans()):
+            del row[col]
+        else:
+            row.append(row[col])
+    elif fault == "nonfinite":
+        row[col] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+    elif fault == "oversized":
+        row[col] = "1" * draw(st.integers(131_073, 140_000))
+    elif fault == "order":
+        index = max(index, 1)
+        rows[index][1] = rows[index - 1][1]
+        line = index + 2
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if fault == "encoding":
+        data = data.replace(row[col].encode(), b"\xff" + row[col].encode(), 1)
+        line = data.count(b"\n", 0, data.index(b"\xff")) + 1
+    return data, line
+
+
+class TestMalformedTrajectories:
+    def test_valid_rows_read_back(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        lines = [",".join(TRAJECTORY_HEADER)] + [",".join(r) for r in VALID_TRAJECTORY_ROWS]
+        path.write_text("\n".join(lines) + "\n")
+        (log,) = read_trajectories(path)
+        assert len(log) == len(VALID_TRAJECTORY_ROWS)
+
+    def test_oversized_field_is_a_value_error(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        path.write_text(",".join(TRAJECTORY_HEADER) + "\ne,0.0,30.0,4.5," + "5" * 131_073 + "\n")
+        with pytest.raises(ValueError, match="^line 2: "):
+            read_trajectories(path)
+
+    @settings(max_examples=150)
+    @given(case=malformed_trajectory_files())
+    def test_every_fault_is_a_value_error_with_its_line(self, tmp_path_factory, case):
+        data, line = case
+        path = tmp_path_factory.mktemp("trajectories") / "trajectory.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^line {line}: "):
             read_trajectories(path)
 
 
@@ -200,11 +284,13 @@ class TestObservationIo:
             ("0.1,5,1.2,0.4,7", "line 3: expected 4 fields, got 5"),
             ("0.1,5," + "1" * 200_000 + ",0.4", "line 3: field larger than field limit"),
             ("0.1,5,-1.2,0.4", "positive and finite"),
+            ("0.1,5,\udcff1.2,0.4", "line 3: not UTF-8 text"),  # the byte 0xff
         ],
     )
     def test_malformed_rows_rejected(self, tmp_path, row, message):
         path = tmp_path / "obs.csv"
-        path.write_text(",".join(OBS_COLUMNS) + "\n0.1,5,1.2,0.4\n" + row + "\n")
+        text = ",".join(OBS_COLUMNS) + "\n0.1,5,1.2,0.4\n" + row + "\n"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(ValueError, match=message):
             read_observations(path)
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossingsim.metrics import EvaluationReport, GateDecision, compute_report, write_series
 from crossingsim.sim import EpisodeResult, PairResult
@@ -161,6 +162,84 @@ class TestSerialization:
         report.save(a)
         report.save(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+VALID_REPORT = compute_report(
+    pairs_from_tau([0.8, 1.2, 1.0]), mu_0=1.5, kappa_0=0.2
+).to_document()
+INTEGER_KEYS = [
+    "n_pairs", "n_excluded", "candidate_crashes", "candidate_timeouts",
+    "baseline_crashes", "baseline_timeouts",
+]
+NUMBER_KEYS = ["mu", "sigma", "cv", "kappa", "gate.mu_0", "gate.kappa_0"]
+LIST_KEYS = ["tau", "running_mean"]
+REPORT_KEYS = INTEGER_KEYS + NUMBER_KEYS + LIST_KEYS + ["gate", "gate.passed"]
+NOT_NUMBERS = st.one_of(
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def malformed_report_documents(draw):
+    """A valid report document with one key dropped or of the wrong type.
+
+    Returns the document and the dotted name of the broken key.
+    """
+    doc = json.loads(json.dumps(VALID_REPORT))
+    name = draw(st.sampled_from(REPORT_KEYS))
+    *parents, key = name.split(".")
+    section = doc
+    for parent in parents:
+        section = section[parent]
+    if draw(st.booleans()):
+        del section[key]
+    elif name in INTEGER_KEYS:
+        section[key] = draw(st.one_of(NOT_NUMBERS, st.floats()))
+    elif name in NUMBER_KEYS:
+        section[key] = draw(st.one_of(NOT_NUMBERS, st.just(10**400)))
+    elif name in LIST_KEYS:
+        section[key] = draw(
+            st.one_of(
+                st.floats(),
+                st.text(max_size=4),
+                st.none(),
+                st.lists(NOT_NUMBERS, min_size=1, max_size=2),
+            )
+        )
+    elif name == "gate":
+        section[key] = draw(st.one_of(st.floats(), st.text(max_size=4), st.lists(st.floats())))
+    else:  # gate.passed takes a boolean only
+        section[key] = draw(st.one_of(st.integers(), st.floats(), st.text(max_size=4), st.none()))
+    return doc, name
+
+
+class TestMalformedDocuments:
+    def test_bare_header_names_the_first_missing_key(self):
+        with pytest.raises(ValueError, match="'gate'"):
+            EvaluationReport.from_document({"format": "crossingsim-report", "version": 1})
+
+    def test_wrong_typed_tau(self):
+        doc = dict(VALID_REPORT, tau=5)
+        with pytest.raises(ValueError, match="'tau'"):
+            EvaluationReport.from_document(doc)
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError):
+            EvaluationReport.from_document([VALID_REPORT])
+
+    def test_valid_document_loads(self):
+        assert EvaluationReport.from_document(VALID_REPORT).to_document() == VALID_REPORT
+
+    @settings(max_examples=200)
+    @given(case=malformed_report_documents())
+    def test_every_fault_is_a_value_error_naming_the_key(self, case):
+        doc, name = case
+        with pytest.raises(ValueError, match=repr(name)):
+            EvaluationReport.from_document(doc)
 
 
 class TestSeries:

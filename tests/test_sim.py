@@ -187,6 +187,55 @@ class TestWalkSpeedPlumbing:
         assert len(result.walk_speeds) == 2
 
 
+class VisibilitySpy:
+    """Never brakes; logs the gap and each visible pedestrian's progress."""
+
+    def __init__(self):
+        self.steps = []
+
+    def command(self, clock, longitudinal_gap, vehicle_speed, pedestrians):
+        self.steps.append((longitudinal_gap, [(p, p.progress) for p in pedestrians]))
+        return StrategyDecision(0.0)
+
+
+class TestVisibility:
+    def test_visible_pedestrians_follow_the_pedestrian_model(self):
+        # Walkers spawn at 60 m but are visible only from 40 m; the
+        # engine's inline stepping must agree with Pedestrian.advance
+        # and Pedestrian.past_path.  With dt = 1/16 s the 1 m/s walker
+        # lands exactly on the strip edge, 5.5 m, and is still visible.
+        cfg = SimConfig(trigger_range=60.0, detection_range=40.0, dt=0.0625)
+        schedule = ArrivalSchedule(np.array([0.0, 0.5, 4.0]), ("near", "far", "near"))
+        spy = VisibilitySpy()
+        result = run_episode(cfg, spy, schedule, walk_speeds=[1.0, 1.2, 0.8])
+        assert result.completed and len(result.walk_speeds) == 3
+        visible_steps = {}
+        for step, (gap, visible) in enumerate(spy.steps):
+            if gap > cfg.detection_range:
+                assert visible == []
+            arrivals = [p.arrival_time for p, _ in visible]
+            assert arrivals == sorted(arrivals)  # spawn order
+            for ped, progress in visible:
+                visible_steps.setdefault(id(ped), (ped, []))[1].append((step, progress))
+        assert len(visible_steps) == 3
+        edge_hits = 0
+        for ped, steps in visible_steps.values():
+            first, last = steps[0][0], steps[-1][0]
+            assert [step for step, _ in steps] == list(range(first, last + 1))
+            model = Pedestrian(
+                ped.arrival_time, ped.side, ped.walk_speed, ped.crossing_length,
+                progress=steps[0][1],
+            )
+            for _, progress in steps:
+                assert progress == model.progress
+                edge_hits += progress == 0.5 * ped.crossing_length + cfg.vehicle_half_width
+                assert not model.past_path(cfg.vehicle_half_width)
+                model.advance(cfg.dt)
+            # It left the list by walking past the path, not by vanishing.
+            assert model.past_path(cfg.vehicle_half_width)
+        assert edge_hits == 1
+
+
 class TestTrajectoryRecording:
     def test_rows_cover_the_whole_episode(self):
         result = run_episode(

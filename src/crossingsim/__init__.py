@@ -45,8 +45,6 @@ from crossingsim.sim import (
 from crossingsim.metrics import EvaluationReport, compute_report
 from crossingsim.ingest import (
     ObservationMatrix,
-    TrajectoryLog,
-    extract_observations,
     generate_synthetic,
     reference_generator,
 )
@@ -82,9 +80,7 @@ __all__ = [
     "run_paired_experiments",
     "EvaluationReport",
     "compute_report",
-    "TrajectoryLog",
     "ObservationMatrix",
-    "extract_observations",
     "generate_synthetic",
     "reference_generator",
 ]

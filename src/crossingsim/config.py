@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -143,60 +143,11 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
     def to_document(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "sim": asdict(self.sim),
-            "mixture": asdict(self.mixture),
-            "agents": {
-                "av_strategy": self.agents.av_strategy,
-                "soft_yield": asdict(self.agents.soft_yield),
-                "human": asdict(self.agents.human),
-            },
-            "eval": asdict(self.eval),
-            "ingest": asdict(self.ingest),
-            "paths": asdict(self.paths),
-        }
+        return asdict(self)
 
     @classmethod
     def from_document(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ValueError("config document must be a JSON object")
-        top = dict(doc)
-        master_seed = top.pop("master_seed", 0)
-        if not isinstance(master_seed, int) or isinstance(master_seed, bool):
-            raise ValueError(f"master_seed must be an integer, got {master_seed!r}")
-
-        sim = SimConfig(**_section(top, "sim", SimConfig))
-        mixture = MixtureConfig(**_section(top, "mixture", MixtureConfig))
-
-        agents_doc = top.pop("agents", {})
-        _require_mapping(agents_doc, "agents")
-        agents_doc = dict(agents_doc)
-        av_strategy = agents_doc.pop("av_strategy", "soft-yield")
-        soft_yield = SoftYieldParams(
-            **_section(agents_doc, "soft_yield", SoftYieldParams, parent="agents")
-        )
-        human = HumanDriverParams(
-            **_section(agents_doc, "human", HumanDriverParams, parent="agents")
-        )
-        if agents_doc:
-            raise ValueError(f"unknown keys in section 'agents': {sorted(agents_doc)}")
-        agents = AgentsConfig(av_strategy=av_strategy, soft_yield=soft_yield, human=human)
-
-        eval_cfg = EvalConfig(**_section(top, "eval", EvalConfig))
-        ingest = IngestConfig(**_section(top, "ingest", IngestConfig))
-        paths = PathsConfig(**_section(top, "paths", PathsConfig))
-        if top:
-            raise ValueError(f"unknown top-level config keys: {sorted(top)}")
-        return cls(
-            master_seed=master_seed,
-            sim=sim,
-            mixture=mixture,
-            agents=agents,
-            eval=eval_cfg,
-            ingest=ingest,
-            paths=paths,
-        )
+        return _build(cls, doc)
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(
@@ -212,24 +163,31 @@ class RunConfig:
         return cls.from_document(doc)
 
 
-def _require_mapping(value: object, name: str) -> None:
-    if not isinstance(value, dict):
-        raise ValueError(f"config section {name!r} must be a JSON object")
+def _build(target: type, raw: object, label: str = "") -> object:
+    """``target`` built from the JSON object ``raw``, whose keys and values
+    are checked against ``target``'s fields.
 
-
-def _section(doc: dict, name: str, target: type, parent: str = "") -> dict:
-    """Pop section ``name`` and check its keys and values against ``target``'s fields.
-
+    A dataclass-typed field is built from its nested object the same way,
+    under the label ``<label>.<key>``; the top level has an empty label.
     Numbers in float fields come back as floats.
     """
-    raw = doc.pop(name, {})
-    label = f"{parent}.{name}" if parent else name
-    _require_mapping(raw, label)
+    if not isinstance(raw, dict):
+        where = f"config section {label!r}" if label else "config document"
+        raise ValueError(f"{where} must be a JSON object")
     unknown = set(raw) - set(target.__dataclass_fields__)
     if unknown:
-        raise ValueError(f"unknown keys in section {label!r}: {sorted(unknown)}")
+        where = f"keys in section {label!r}" if label else "top-level config keys"
+        raise ValueError(f"unknown {where}: {sorted(unknown)}")
     kinds = typing.get_type_hints(target)
-    return {key: _typed(f"{label}.{key}", value, kinds[key]) for key, value in raw.items()}
+    values = {}
+    for key, value in raw.items():
+        name = f"{label}.{key}" if label else key
+        kind = kinds[key]
+        if is_dataclass(kind):
+            values[key] = _build(kind, value, name)
+        else:
+            values[key] = _typed(name, value, kind)
+    return target(**values)
 
 
 def _typed(key: str, value: object, kind: object) -> object:

@@ -1,16 +1,13 @@
-"""Trajectory-log ingestion and synthetic observation generation.
+"""Observation files and the synthetic observation generator.
 
-Input logs are comma-delimited UTF-8 text with a header row naming the
-columns (event_id, t, R, L, v): one passing event per event_id, rows
-sampled at the sensor rate with time t in seconds, range to the
-crossing line R and the pedestrian's remaining lateral gap L in metres,
-and vehicle speed v in m/s.  Extraction estimates the walk speed from
-the lateral-gap slope, resamples each event at a fixed time stride, and
-maps the surviving rows into (1/R, v, v_p, 1/T_Adv) observation space.
+An observation file is comma-delimited UTF-8 text with the header row
+``inv_R,v,v_p,inv_T_adv`` and one observation row of four positive,
+finite numbers per line; :func:`read_observations` and
+:func:`write_observations` read and write it.
 
-Because the naturalistic dataset behind the model is not distributed,
-the module also ships a documented synthetic generator whose draws
-stand in for real observations end to end.
+The naturalistic trajectories behind the paper's model are not
+distributed, so the module also ships a documented synthetic generator
+whose draws stand in for real observations end to end.
 """
 
 from __future__ import annotations
@@ -19,76 +16,33 @@ import csv
 import io
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from crossingsim.mixture import GaussianMixture, TruncationBox
-from crossingsim.scenario import OBS_COLUMNS, OBS_DIM, Kinematics, to_observation
+from crossingsim.scenario import OBS_COLUMNS, OBS_DIM
 
 __all__ = [
-    "TrajectoryLog",
     "ObservationMatrix",
-    "read_trajectories",
-    "write_trajectories",
-    "extract_observations",
     "read_observations",
     "write_observations",
     "generate_synthetic",
     "reference_generator",
 ]
 
-_TRAJECTORY_HEADER = ("event_id", "t", "R", "L", "v")
-
-
-@dataclass(frozen=True)
-class TrajectoryLog:
-    """One passing event: time-stamped (R, L, v) samples."""
-
-    event_id: str
-    t: np.ndarray
-    R: np.ndarray
-    L: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        arrays = {}
-        for name in ("t", "R", "L", "v"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be a 1-D array")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite values")
-            arrays[name] = arr
-        lengths = {arr.shape[0] for arr in arrays.values()}
-        if len(lengths) != 1:
-            raise ValueError("t, R, L, v must have equal lengths")
-        if len(arrays["t"]) == 0:
-            raise ValueError("a trajectory log needs at least one row")
-        if not (np.diff(arrays["t"]) > 0).all():
-            raise ValueError("t must be strictly increasing within an event")
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return self.t.shape[0]
-
 
 @dataclass(frozen=True)
 class ObservationMatrix:
-    """n x 4 matrix of observation rows plus provenance bookkeeping.
+    """n x 4 matrix of observation rows.
 
-    ``provenance`` is "real" for extracted data and "synthetic" for
-    generated data; synthetic matrices carry the serialized generator
-    document so the ground truth travels with the sample.
+    Synthetic matrices carry the serialized generator document in
+    ``generator``, so the ground truth travels with the sample.
     """
 
     data: np.ndarray
-    provenance: str = "real"
     generator: Optional[dict] = field(default=None)
 
     def __post_init__(self) -> None:
@@ -97,8 +51,6 @@ class ObservationMatrix:
             raise ValueError(f"data must be an n x {OBS_DIM} matrix, got {data.shape}")
         if data.size and not (np.isfinite(data).all() and (data > 0).all()):
             raise ValueError("every observation entry must be positive and finite")
-        if self.provenance not in ("real", "synthetic"):
-            raise ValueError(f"provenance must be 'real' or 'synthetic', got {self.provenance!r}")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -120,117 +72,14 @@ def _utf8_text(path: Union[str, Path]) -> io.StringIO:
         raise ValueError(f"line {line}: not UTF-8 text ({exc.reason})") from exc
 
 
-def read_trajectories(path: Union[str, Path]) -> list[TrajectoryLog]:
-    """Read trajectory logs, grouped by event_id in first-seen order.
-
-    Rows with an empty L field are skipped: episode dumps include
-    pedestrian-free samples that carry no lateral gap.
-
-    Raises:
-        ValueError: a malformed file, with the line number: a bad
-            header, text that is not UTF-8 or not CSV, a row without
-            exactly 5 fields, a number that does not parse or is not
-            finite, or a time that does not increase within its event.
-    """
-    groups: dict[str, list[tuple[float, float, float, float]]] = {}
-    reader = csv.reader(_utf8_text(path))
-    try:
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != _TRAJECTORY_HEADER:
-            raise ValueError(f"expected header {','.join(_TRAJECTORY_HEADER)}, got {header!r}")
-        for row in filter(None, reader):  # blank lines are skipped
-            if len(row) != 5:
-                raise ValueError(f"expected 5 fields per row, got {len(row)}")
-            event_id, t_s, r_s, l_s, v_s = (fld.strip() for fld in row)
-            if l_s == "":
-                continue
-            values = tuple(float(fld) for fld in (t_s, r_s, l_s, v_s))
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"non-finite value in {row!r}")
-            rows = groups.setdefault(event_id, [])
-            if rows and not values[0] > rows[-1][0]:
-                raise ValueError(f"event {event_id!r}: t must be strictly increasing")
-            rows.append(values)
-    except (ValueError, csv.Error) as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from exc
-    logs = []
-    for event_id, rows in groups.items():
-        cols = np.asarray(rows, dtype=float)
-        logs.append(
-            TrajectoryLog(event_id, t=cols[:, 0], R=cols[:, 1], L=cols[:, 2], v=cols[:, 3])
-        )
-    return logs
-
-
-def write_trajectories(logs: Sequence[TrajectoryLog], path: Union[str, Path]) -> None:
-    lines = [",".join(_TRAJECTORY_HEADER)]
-    for log in logs:
-        for i in range(len(log)):
-            lines.append(
-                f"{log.event_id},{float(log.t[i])!r},{float(log.R[i])!r},"
-                f"{float(log.L[i])!r},{float(log.v[i])!r}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def extract_observations(
-    log: TrajectoryLog,
-    sample_stride: float = 0.5,
-) -> ObservationMatrix:
-    """Convert one passing event into observation rows.
-
-    The walk speed at every sample is the negated slope of L over t
-    (centred differences inside the event, one-sided at the ends), so
-    an approaching pedestrian has positive v_p.  Rows are then thinned
-    to one per ``sample_stride`` seconds (0 keeps every row) and mapped
-    through the observation transform; rows the transform rejects
-    (vehicle past the line or stopped, pedestrian standing or past the
-    path, exact arrival tie) are dropped.  An event whose rows are all
-    dropped produces an empty matrix and a warning, not an error.
-    """
-    if len(log) < 2:
-        raise ValueError(f"event {log.event_id!r}: need at least 2 rows, got {len(log)}")
-    if not (math.isfinite(sample_stride) and sample_stride >= 0):
-        raise ValueError(f"sample_stride must be >= 0, got {sample_stride!r}")
-
-    walk = -np.gradient(log.L, log.t)
-
-    kept: list[int] = []
-    next_time = log.t[0]
-    for i, t in enumerate(log.t):
-        if t >= next_time - 1e-12:
-            kept.append(i)
-            next_time = t + sample_stride
-
-    rows = []
-    for i in kept:
-        try:
-            kin = Kinematics(
-                longitudinal_gap=float(log.R[i]),
-                lateral_gap=float(log.L[i]),
-                vehicle_speed=float(log.v[i]),
-                walk_speed=float(walk[i]),
-            )
-            obs = to_observation(kin)
-        except ValueError:
-            continue
-        rows.append(obs.as_array())
-
-    if not rows:
-        warnings.warn(
-            f"event {log.event_id!r}: every row was dropped", stacklevel=2
-        )
-        return ObservationMatrix(np.empty((0, OBS_DIM)), provenance="real")
-    return ObservationMatrix(np.asarray(rows), provenance="real")
-
-
-def read_observations(path: Union[str, Path], provenance: str = "real") -> ObservationMatrix:
+def read_observations(path: Union[str, Path]) -> ObservationMatrix:
     """Read an observation matrix written by :func:`write_observations`.
 
     Raises:
-        ValueError: a malformed file: a bad header, text that is not
-            UTF-8 or not CSV, a row without one number per column, or an
-            entry that is not positive and finite.
+        ValueError: a malformed file, with the line number: a bad
+            header, text that is not UTF-8 or not CSV, a row without one
+            number per column, or an entry that is not positive and
+            finite.
     """
     reader = csv.reader(_utf8_text(path))
     rows = []
@@ -241,11 +90,15 @@ def read_observations(path: Union[str, Path], provenance: str = "real") -> Obser
         for row in filter(None, reader):  # blank lines are skipped
             if len(row) != OBS_DIM:
                 raise ValueError(f"expected {OBS_DIM} fields, got {len(row)}")
-            rows.append([float(fld) for fld in row])
+            values = [float(fld) for fld in row]
+            for x in values:
+                if not 0 < x < math.inf:
+                    raise ValueError(f"every entry must be positive and finite, got {row!r}")
+            rows.append(values)
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from exc
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, OBS_DIM))
-    return ObservationMatrix(data, provenance=provenance)
+    return ObservationMatrix(data)
 
 
 def write_observations(matrix: ObservationMatrix, path: Union[str, Path]) -> None:
@@ -259,9 +112,9 @@ def write_observations(matrix: ObservationMatrix, path: Union[str, Path]) -> Non
 def generate_synthetic(model: GaussianMixture, n: int, seed: int) -> ObservationMatrix:
     """Draw n observation rows from a 4-D positive-orthant model.
 
-    The returned matrix is tagged synthetic and embeds the generator's
-    own serialized document, so downstream fits can be compared against
-    the ground truth that produced the data.
+    The returned matrix embeds the generator's own serialized document,
+    so downstream fits can be compared against the ground truth that
+    produced the data.
     """
     if model.dim != OBS_DIM:
         raise ValueError(f"generator must be {OBS_DIM}-D, got dim {model.dim}")
@@ -271,9 +124,7 @@ def generate_synthetic(model: GaussianMixture, n: int, seed: int) -> Observation
     if n < 0:
         raise ValueError("n must be >= 0")
     data = model.sample(n, seed)
-    return ObservationMatrix(
-        data, provenance="synthetic", generator=json.loads(model.to_text())
-    )
+    return ObservationMatrix(data, generator=json.loads(model.to_text()))
 
 
 def reference_generator() -> GaussianMixture:

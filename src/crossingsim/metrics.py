@@ -212,13 +212,14 @@ def compute_report(
         candidate_timeouts += cand.timed_out
         baseline_crashes += base.crashed
         baseline_timeouts += base.timed_out
-        if cand.completed and base.completed:
-            if cand.passing_time <= 0 or base.passing_time <= 0:
-                raise ValueError(
-                    f"pair {pair.index}: nonpositive passing time "
-                    f"({cand.passing_time}, {base.passing_time})"
-                )
-            tau.append(cand.passing_time / base.passing_time)
+        if any(ep.completed and ep.passing_time <= 0 for ep in (cand, base)):
+            raise ValueError(
+                f"pair {pair.index}: nonpositive passing time "
+                f"({cand.passing_time}, {base.passing_time})"
+            )
+        ratio = pair.time_ratio
+        if ratio is not None:
+            tau.append(ratio)
 
     n = len(pairs)
     kappa = (candidate_crashes + candidate_timeouts) / n

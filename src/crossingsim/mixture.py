@@ -62,6 +62,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # that two models with identical parameters report identical densities in
 # every process.
 _MASS_SEED = 0x63726F73
+# Accepted-draw target of the Monte Carlo box masses.
+_MASS_DRAWS = 20_000
 
 
 class DegenerateTruncationError(ValueError):
@@ -560,12 +562,12 @@ class GaussianMixture:
             self._chols = np.linalg.cholesky(self.covariances)
         return self._chols
 
-    def component_box_masses(self, n_accepted: int = 20_000) -> np.ndarray:
+    def component_box_masses(self) -> np.ndarray:
         """Per-component probability mass inside the truncation box.
 
-        Exact for 1-D or unbounded boxes; otherwise seeded Monte Carlo.
-        The default-precision result is cached because it normalizes
-        every truncated density evaluation.
+        Exact for 1-D or unbounded boxes; otherwise seeded Monte Carlo
+        with 20 000 accepted draws per component.  The result is cached
+        because it normalizes every truncated density evaluation.
 
         Raises:
             DegenerateTruncationError: as :func:`truncated_moments`, for
@@ -573,7 +575,7 @@ class GaussianMixture:
         """
         if self.truncation is None or self.truncation.is_unbounded:
             return np.ones(self.n_components)
-        if self._box_masses is not None and n_accepted == 20_000:
+        if self._box_masses is not None:
             return self._box_masses
         if self.dim == 1:
             # The closed form of truncated_moments, for all components at once.
@@ -590,7 +592,7 @@ class GaussianMixture:
                 )
             self._box_masses = masses
             return masses
-        # One component at a time: a block has max(4 * n_accepted, 8192) rows.
+        # One component at a time: a block has 4 * _MASS_DRAWS rows.
         chols = self._cholesky_factors()
         masses = np.array(
             [
@@ -598,14 +600,13 @@ class GaussianMixture:
                     self.means[k],
                     chols[k],
                     self.truncation,
-                    n_accepted,
+                    _MASS_DRAWS,
                     derive_seed(_MASS_SEED, "box-mass", k),
                 ).mass
                 for k in range(self.n_components)
             ]
         )
-        if n_accepted == 20_000:
-            self._box_masses = masses
+        self._box_masses = masses
         return masses
 
     def normalization(self) -> float:

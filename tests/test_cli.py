@@ -4,6 +4,7 @@ Everything runs in process through ``main`` so the tests can inspect
 emitted files and captured output without spawning interpreters.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -19,7 +20,7 @@ from crossingsim.config import (
     MixtureConfig,
     RunConfig,
 )
-from crossingsim.ingest import read_observations, read_trajectories, reference_generator
+from crossingsim.ingest import read_observations, reference_generator
 from crossingsim.metrics import EvaluationReport
 from crossingsim.mixture import GaussianMixture
 from crossingsim.scenario import OBS_COLUMNS
@@ -457,12 +458,17 @@ class TestSimulate:
             dumps.append((out / "trajectory.csv").read_bytes())
         assert dumps[0] == dumps[1]
 
-        # vehicle-only rows carry no lateral range, so the reader keeps
-        # just the walker's event
-        logs = read_trajectories(tmp_path / "a" / "trajectory.csv")
-        assert [log.event_id for log in logs] == ["ped0"]
-        assert len(logs[0]) > 2
-        assert np.all(np.diff(logs[0].R) <= 0.0)
+        with open(tmp_path / "a" / "trajectory.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert list(rows[0]) == ["event_id", "t", "R", "L", "v"]
+        # vehicle-only rows carry no lateral range; the one walker's rows do
+        vehicle_only = [row for row in rows if row["event_id"] == "none"]
+        walker = [row for row in rows if row["event_id"] != "none"]
+        assert vehicle_only and all(row["L"] == "" for row in vehicle_only)
+        assert {row["event_id"] for row in walker} == {"ped0"}
+        assert len(walker) > 2
+        assert all(row["L"] != "" for row in walker)
+        assert np.all(np.diff([float(row["R"]) for row in walker]) <= 0.0)
 
     def test_needs_a_four_dimensional_model(self, tmp_path, capsys):
         cfg = write_config(tmp_path, RunConfig())

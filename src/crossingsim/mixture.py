@@ -21,6 +21,12 @@ standard normals and keeps every accepted draw in it, so n = 2000 on a
 box of mass near 1 averages about 8190 draws, not 2000; only a component
 that accepts fewer than n goes on sampling.  EM draws that first block
 once per restart and component and reuses it on every iteration.
+
+Only numpy is imported with the module.  scipy is imported inside the
+functions that need it, so that a process which never calls them (the
+episode simulator, a fit in more than one dimension) never loads it;
+new scipy callers, such as a quasi-Monte Carlo point set from
+``scipy.stats.qmc``, follow the same rule.
 """
 
 from __future__ import annotations
@@ -31,8 +37,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp, ndtr
 
 from crossingsim.seeds import derive_seed
 
@@ -204,7 +208,11 @@ def _x_times_pdf(x: float) -> float:
 
 def _interval_mass(alpha, beta):
     # Difference of normal CDFs, evaluated on whichever tail avoids
-    # cancellation; elementwise on arrays.
+    # cancellation; elementwise on arrays.  ndtr has no numpy equivalent,
+    # and scipy.special is most of the package's import time and memory,
+    # so it is imported here: only the 1-D closed forms pay for it.
+    from scipy.special import ndtr
+
     return np.where(alpha >= 0.0, ndtr(-alpha) - ndtr(-beta), ndtr(beta) - ndtr(alpha))
 
 
@@ -385,14 +393,30 @@ def _dim_index(dims: Sequence[int], dim: int, what: str) -> np.ndarray:
 def _component_log_densities(
     rows: np.ndarray, means: np.ndarray, chols: np.ndarray
 ) -> np.ndarray:
-    """Untruncated log densities of N(means[k], chols[k] chols[k]^T), shape (n, K)."""
-    dim = means.shape[1]
-    out = np.empty((rows.shape[0], means.shape[0]))
-    for k, chol in enumerate(chols):
-        solved = solve_triangular(chol, (rows - means[k]).T, lower=True, check_finite=False)
-        log_det = np.log(np.diagonal(chol)).sum()
-        out[:, k] = -0.5 * dim * _LOG_2PI - log_det - 0.5 * (solved * solved).sum(axis=0)
-    return out
+    """Untruncated log densities of N(means[k], chols[k] chols[k]^T), shape (n, K).
+
+    All K components are whitened at once: with W_k = chols[k]^-1 the
+    Mahalanobis term is |W_k (y - means[k])|^2, one batched inverse and
+    one batched product for the whole stack.
+    """
+    whiten = np.linalg.inv(chols)
+    white = (rows[None, :, :] - means[:, None, :]) @ whiten.transpose(0, 2, 1)
+    log_norms = -0.5 * means.shape[1] * _LOG_2PI - np.log(
+        np.diagonal(chols, axis1=1, axis2=2)
+    ).sum(axis=1)
+    return log_norms - 0.5 * np.einsum("knd,knd->nk", white, white)
+
+
+def _logsumexp_rows(values: np.ndarray) -> np.ndarray:
+    """log(sum(exp(values), axis=1)), shifted by each row's maximum.
+
+    A row that is all -inf (every term has weight 0) gives -inf, with no
+    floating-point warning.
+    """
+    top = values.max(axis=1)
+    top = np.where(np.isneginf(top), 0.0, top)
+    total = np.exp(values - top[:, None]).sum(axis=1)
+    return top + np.log(total, out=np.full(total.shape, -np.inf), where=total > 0)
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -633,7 +657,7 @@ class GaussianMixture:
         """Log mixture density per row; -inf outside the truncation box."""
         rows = np.asarray(rows, dtype=float)
         log_dens = _component_log_densities(rows, self.means, self._cholesky_factors())
-        log_mix = logsumexp(log_dens + _log_weights(self.weights), axis=1)
+        log_mix = _logsumexp_rows(log_dens + _log_weights(self.weights))
         if self.truncation is not None:
             log_mix = log_mix - math.log(self.normalization())
             log_mix = np.where(self.truncation.contains(rows), log_mix, -np.inf)
@@ -723,18 +747,21 @@ class GaussianMixture:
             return np.empty((0, self.dim))
         rng = np.random.Generator(np.random.PCG64(seed))
         chols = self._cholesky_factors()
+        # Component picks as Generator.choice(p=weights) makes them, from
+        # the same uniforms, without its per-call validation of p.
+        cdf = self.weights.cumsum()
+        cdf /= cdf[-1]
         out = np.empty((count, self.dim))
         filled = 0
         drawn = 0
         while filled < count:
             need = count - filled
-            idx = rng.choice(self.n_components, size=need, p=self.weights)
+            idx = cdf.searchsorted(rng.random(need), side="right")
             z = rng.standard_normal((need, self.dim))
             pts = self.means[idx] + np.einsum("nij,nj->ni", chols[idx], z)
             drawn += need
             if self.truncation is not None:
-                keep = self.truncation.contains(pts)
-                pts = pts[keep]
+                pts = pts[_inside(self.truncation, pts)]
             accepted = filled + pts.shape[0]
             out[filled:accepted] = pts
             filled = accepted
@@ -1114,8 +1141,7 @@ def em_fit(
                     raise ValueError(f"{name} must be finite")
             chols = np.linalg.cholesky(covs)
             log_weighted = _component_log_densities(data, means, chols) + np.log(weights)
-            top = log_weighted.max(axis=1)
-            row_ll = top + np.log(np.exp(log_weighted - top[:, None]).sum(axis=1))
+            row_ll = _logsumexp_rows(log_weighted)
             moments = None
             if truncated:
                 if dim == 1:
@@ -1365,9 +1391,7 @@ def conditional_mode(model: GaussianMixture, interval: tuple[float, float]) -> f
         return np.exp(terms - terms.max(axis=0))
 
     def density(x: np.ndarray) -> np.ndarray:
-        terms = log_terms(x)
-        top = terms.max(axis=0)
-        log_dens = top + np.log(np.exp(terms - top).sum(axis=0)) - log_c
+        log_dens = _logsumexp_rows(log_terms(x).T) - log_c
         return np.where((x >= support_lo) & (x <= support_hi), np.exp(log_dens), 0.0)
 
     grid = np.linspace(lo, hi, _MODE_GRID_POINTS)

@@ -5,10 +5,12 @@ independent implementation for everything that has one there.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal, norm, truncnorm
 
 from crossingsim import mixture
@@ -381,6 +383,64 @@ class TestDensity:
         )
 
 
+def random_covariances(rng, k, dim, smallest):
+    """k covariances whose eigenvalues are log-uniform in [smallest, 100]."""
+    covs = np.empty((k, dim, dim))
+    for j in range(k):
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        eigenvalues = np.exp(rng.uniform(math.log(smallest), math.log(100.0), size=dim))
+        cov = basis * eigenvalues @ basis.T
+        covs[j] = 0.5 * (cov + cov.T)
+    return covs
+
+
+class TestComponentLogDensities:
+    """The batched whitening kernel against scipy's multivariate normal.
+
+    The error is relative to max(1, |reference|), since a log density
+    can pass through 0.
+    """
+
+    @pytest.mark.parametrize(
+        "smallest, rtol", [(1e-2, 1e-10), (1e-6, 1e-7)], ids=["eig-1e-2", "eig-1e-6"]
+    )
+    @pytest.mark.parametrize("case", range(20))
+    def test_matches_scipy_logpdf(self, smallest, rtol, case):
+        rng = np.random.Generator(np.random.PCG64(derive_seed(77, "log-density", case)))
+        k, dim = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        means = rng.uniform(-3.0, 3.0, size=(k, dim))
+        covs = random_covariances(rng, k, dim, smallest)
+        chols = np.linalg.cholesky(covs)
+        # Points near every component, out to about 4 standard deviations.
+        near = [means[j] + rng.normal(scale=2.0, size=(8, dim)) @ chols[j].T for j in range(k)]
+        rows = np.concatenate(near + [rng.uniform(-5.0, 5.0, size=(8, dim))])
+        got = mixture._component_log_densities(rows, means, chols)
+        assert got.shape == (rows.shape[0], k)
+        for j in range(k):
+            want = np.atleast_1d(multivariate_normal(means[j], covs[j]).logpdf(rows))
+            error = np.abs(got[:, j] - want) / np.maximum(1.0, np.abs(want))
+            assert error.max() <= rtol
+
+
+class TestLogSumExpRows:
+    def test_matches_scipy_with_weight_zero_columns(self):
+        rng = np.random.Generator(np.random.PCG64(31))
+        values = rng.normal(scale=300.0, size=(200, 5))
+        values[:, 1] = -np.inf
+        values[::3, 4] = -np.inf
+        np.testing.assert_allclose(
+            mixture._logsumexp_rows(values), logsumexp(values, axis=1), rtol=1e-13, atol=1e-13
+        )
+
+    def test_all_minus_inf_row_is_minus_inf_without_a_warning(self):
+        values = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, math.log(3.0)]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = mixture._logsumexp_rows(values)
+        assert got[0] == -np.inf
+        assert got[1] == pytest.approx(math.log(4.0), rel=1e-15)
+
+
 class TestMarginalize:
     def test_parameters_are_sliced(self):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -681,6 +741,38 @@ class TestSampling:
     def test_zero_count(self):
         model = GaussianMixture(np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1, 1)))
         assert model.sample(0, seed=0).shape == (0, 1)
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 500])
+    def test_same_draws_as_generator_choice(self, count):
+        # The reference loop picks components with Generator.choice(p=...)
+        # and tests the box with TruncationBox.contains.
+        def reference_sample(model, count, seed):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            chols = np.linalg.cholesky(model.covariances)
+            out = np.empty((0, model.dim))
+            while out.shape[0] < count:
+                need = count - out.shape[0]
+                idx = rng.choice(model.n_components, size=need, p=model.weights)
+                z = rng.standard_normal((need, model.dim))
+                pts = model.means[idx] + np.einsum("nij,nj->ni", chols[idx], z)
+                if model.truncation is not None:
+                    pts = pts[model.truncation.contains(pts)]
+                out = np.concatenate([out, pts])
+            return out
+
+        rng = np.random.Generator(np.random.PCG64(count))
+        box = TruncationBox(np.array([0.0, -np.inf]), np.array([2.0, 1.0]))
+        weight_zero = GaussianMixture(
+            np.array([0.0, 0.25, 0.75]),
+            rng.uniform(-1.0, 1.0, size=(3, 2)),
+            np.repeat(np.eye(2)[None], 3, axis=0),
+            truncation=box,
+        )
+        for model in (random_mixture(rng, truncation=box), random_mixture(rng), weight_zero):
+            for seed in range(20):
+                np.testing.assert_array_equal(
+                    model.sample(count, seed), reference_sample(model, count, seed)
+                )
 
 
 class TestSerialization:

@@ -20,13 +20,17 @@ with accepted-draw target n first draws one block of max(4n, 8192)
 standard normals and keeps every accepted draw in it, so n = 2000 on a
 box of mass near 1 averages about 8190 draws, not 2000; only a component
 that accepts fewer than n goes on sampling.  EM draws that first block
-once per restart and component and reuses it on every iteration.
+once per restart and component and reuses it on every iteration.  The
+rows a component goes on sampling with live with the restart too, so
+each is drawn once per restart; they are freed when the restart ends
+(:class:`FitConfig` gives their memory).
 
 Only numpy is imported with the module.  scipy is imported inside the
 functions that need it, so that a process which never calls them (the
-episode simulator, a fit in more than one dimension) never loads it;
-new scipy callers, such as a quasi-Monte Carlo point set from
-``scipy.stats.qmc``, follow the same rule.
+episode simulator, a fit in more than one dimension) never loads it.
+New scipy callers follow the same rule, and pay in memory when they
+run: importing ``scipy.special`` adds about 25 MB to a process's peak
+resident memory, and ``scipy.stats.qmc`` about 46 MB more.
 """
 
 from __future__ import annotations
@@ -235,23 +239,48 @@ def _moments_1d(mean: float, var: float, lo: float, hi: float) -> TruncatedMomen
     )
 
 
+class _NormalStream:
+    """The standard-normal rows a seeded generator gives after its first block.
+
+    ``rows(start, stop)`` returns rows ``start`` to ``stop - 1`` of that
+    stream.  Rows drawn once are kept, so a later call reads them back
+    instead of drawing them again, and only rows past the end of what is
+    kept are drawn, by one more ``standard_normal`` call.  The generator
+    fills its output in stream order, so the rows are the same however
+    the calls split them.
+    """
+
+    def __init__(self, rng: np.random.Generator, dim: int) -> None:
+        self._rng = rng
+        self._rows = np.empty((0, dim))
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        have = self._rows.shape[0]
+        if stop > have:
+            more = self._rng.standard_normal((stop - have, self._rows.shape[1]))
+            self._rows = np.concatenate([self._rows, more]) if have else more
+        return self._rows[start:stop]
+
+
 def _first_blocks(
     seeds: Sequence[int], n_accepted: int, dim: int
-) -> tuple[np.ndarray, list[dict]]:
+) -> tuple[np.ndarray, list[_NormalStream]]:
     """First standard-normal block of each seed's generator, stacked.
 
     Returns the blocks, shape (len(seeds), max(4 * n_accepted, 8192),
-    dim), and each generator's state after drawing its block, from which
-    :func:`_moments_mc` continues a component that needs more draws.
+    dim), and, per seed, the :class:`_NormalStream` that continues the
+    generator after its block, from which :func:`_moments_mc` continues a
+    component that needs more draws.  Both serve every call made with
+    them, and the continuation rows they keep are freed with them.
     """
     rows = max(4 * n_accepted, 8192)
     blocks = np.empty((len(seeds), rows, dim))
-    states = []
+    streams = []
     for j, seed in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(seed))
         rng.standard_normal(out=blocks[j])
-        states.append(rng.bit_generator.state)
-    return blocks, states
+        streams.append(_NormalStream(rng, dim))
+    return blocks, streams
 
 
 def _inside(box: TruncationBox, points: np.ndarray) -> np.ndarray:
@@ -267,55 +296,75 @@ def _inside(box: TruncationBox, points: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _accepted_draws(
+    mean: np.ndarray, chol: np.ndarray, box: TruncationBox, z: np.ndarray
+) -> np.ndarray:
+    """The draws mean + chol z that fall inside the box, as a (dim, accepted) array.
+
+    ``z`` holds one standard-normal draw per row; the accepted draws keep
+    their row order.  The shifted block is freed on return, before the
+    caller sums and centers what was accepted.
+    """
+    shifted = np.add((z @ chol.T).T, mean[:, None], order="C")
+    return np.compress(_inside(box, shifted.T), shifted, axis=1)
+
+
 def _moments_mc(
     means: np.ndarray,
     chols: np.ndarray,
     box: TruncationBox,
     n_accepted: int,
     blocks: np.ndarray,
-    states: Sequence[dict],
+    streams: Sequence[_NormalStream],
 ) -> list[TruncatedMoments]:
     """Rejection-sampled moments of box-truncated normals, one per component.
 
     Component j is N(means[j], chols[j] chols[j]^T), sampled as
     means[j] + chols[j] z with the rows z of ``blocks[j]`` first (see
     :func:`_first_blocks`).  Every accepted draw of that block is kept.
-    A component that accepts fewer than ``n_accepted`` continues from
-    ``states[j]`` in chunks scaled to its observed acceptance rate,
-    within a budget of max(200 * n_accepted, 2e6) draws.  The mass is
-    accepted / drawn; mean and covariance are those of the accepted draws.
+    A component that accepts fewer than ``n_accepted`` continues with the
+    rows of ``streams[j]`` in chunks scaled to its observed acceptance
+    rate, within a budget of max(200 * n_accepted, 2e6) draws.  The mass
+    is accepted / drawn; mean and covariance are those of the accepted
+    draws.
 
-    Components are taken one at a time, so the temporaries hold one
-    block, not K.
+    The bits are those of drawing each component's rows from its seed
+    afresh, shifting them in (n, d) layout and taking ``mean(axis=0)``
+    and ``centered.T @ centered`` of the accepted rows: the elementwise
+    work runs on a (d, n) transpose, which is exact in any layout, and
+    the same rows are summed in the same order.  Components are taken one
+    at a time, so the temporaries hold one block, not K.
     """
     budget = max(200 * n_accepted, 2_000_000)
+    first = blocks.shape[1]
     out = []
     for j in range(means.shape[0]):
-        z, rng = blocks[j], None
+        z = blocks[j]
         kept, drawn, accepted = [], 0, 0
         while True:
-            x = z @ chols[j].T
-            x += means[j]
-            kept.append(x[_inside(box, x)])
+            kept.append(_accepted_draws(means[j], chols[j], box, z))
             drawn += z.shape[0]
-            accepted += kept[-1].shape[0]
+            accepted += kept[-1].shape[1]
             if accepted >= n_accepted or drawn >= budget:
                 break
-            if rng is None:
-                rng = np.random.Generator(np.random.PCG64())
-                rng.bit_generator.state = states[j]
             rate = max(accepted / drawn, 1e-3)
             chunk = int(min(max((n_accepted - accepted) / rate * 1.2, 8192), 4_000_000))
-            z = rng.standard_normal((min(chunk, budget - drawn), means.shape[1]))
+            z = streams[j].rows(drawn - first, drawn - first + min(chunk, budget - drawn))
         if accepted < max(2, n_accepted // 200):
             raise DegenerateTruncationError(
                 f"rejection sampling accepted {accepted}/{drawn} draws; "
                 "box mass is too small to estimate"
             )
-        sample = kept[0] if len(kept) == 1 else np.concatenate(kept, axis=0)
-        t_mean = sample.mean(axis=0)
-        centered = sample - t_mean
-        t_cov = centered.T @ centered / sample.shape[0]
+        sample = kept[0] if len(kept) == 1 else np.concatenate(kept, axis=1)
+        # numpy sums the rows of an (n, d >= 2) array one after another,
+        # as accumulate does, and a single column pairwise, as sum does.
+        if means.shape[1] == 1:
+            t_mean = sample.sum(axis=1) / accepted
+        else:
+            t_mean = np.add.accumulate(sample, axis=1)[:, -1] / accepted
+        sample -= t_mean[:, None]
+        centered = sample.T.copy()  # (n, d) C order: BLAS rounds as for a fresh sample
+        t_cov = centered.T @ centered / accepted
         out.append(TruncatedMoments(mass=accepted / drawn, mean=t_mean, covariance=t_cov))
     return out
 
@@ -324,8 +373,8 @@ def _seeded_moments_mc(
     mean: np.ndarray, chol: np.ndarray, box: TruncationBox, n_accepted: int, seed: int
 ) -> TruncatedMoments:
     """:func:`_moments_mc` of one component whose draws come from ``seed``."""
-    blocks, states = _first_blocks([seed], n_accepted, mean.shape[0])
-    return _moments_mc(mean[None], chol[None], box, n_accepted, blocks, states)[0]
+    blocks, streams = _first_blocks([seed], n_accepted, mean.shape[0])
+    return _moments_mc(mean[None], chol[None], box, n_accepted, blocks, streams)[0]
 
 
 def truncated_moments(
@@ -395,16 +444,18 @@ def _component_log_densities(
 ) -> np.ndarray:
     """Untruncated log densities of N(means[k], chols[k] chols[k]^T), shape (n, K).
 
-    All K components are whitened at once: with W_k = chols[k]^-1 the
-    Mahalanobis term is |W_k (y - means[k])|^2, one batched inverse and
-    one batched product for the whole stack.
+    All K components are whitened at once, component-major: with
+    W_k = chols[k]^-1 the Mahalanobis term is |W_k (y - means[k])|^2, one
+    batched inverse and one batched (K, d, d) @ (K, d, n) product for the
+    whole stack.  The result is the transpose of a (K, n) array.
     """
     whiten = np.linalg.inv(chols)
-    white = (rows[None, :, :] - means[:, None, :]) @ whiten.transpose(0, 2, 1)
+    white = whiten @ (np.ascontiguousarray(rows.T) - means[:, :, None])
+    white *= white
     log_norms = -0.5 * means.shape[1] * _LOG_2PI - np.log(
         np.diagonal(chols, axis1=1, axis2=2)
     ).sum(axis=1)
-    return log_norms - 0.5 * np.einsum("knd,knd->nk", white, white)
+    return (log_norms[:, None] - 0.5 * white.sum(axis=1)).T
 
 
 def _logsumexp_rows(values: np.ndarray) -> np.ndarray:
@@ -974,7 +1025,14 @@ class FitConfig:
     evaluation keeps every accepted draw of a first block of max(4n, 8192)
     draws, so n = 2000 uses about 8190 draws when the box mass is near 1.
     EM draws that block once per restart and component and reuses it on
-    every iteration; the blocks take K * max(4n, 8192) * d doubles.
+    every iteration; the blocks take K * max(4n, 8192) * d doubles.  The
+    rows a component samples past its block (when the block accepts
+    fewer than n) live with the restart as well and are freed with it:
+    per component, the most that any iteration of the restart needed, at
+    most max(200n, 2e6) - max(4n, 8192) rows of d doubles.  A component
+    of box mass 0.24 at n = 2000 keeps one 8192-row chunk (256 KiB at
+    d = 4); one of mass 0.01 at n = 20 000 keeps a 2.3e6-row chunk
+    (74 MB at d = 4), which it would otherwise draw on every iteration.
     """
 
     n_components: int
@@ -1033,26 +1091,207 @@ def _kmeanspp_means(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
 
 
 def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
-    cov = 0.5 * (cov + cov.T)
-    return cov + floor * np.eye(cov.shape[0])
+    """Symmetrized covariance plus ``floor * I``; also over a (K, d, d) stack."""
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    return cov + floor * np.eye(cov.shape[-1])
+
+
+def _outer(rows: np.ndarray) -> np.ndarray:
+    """Outer product of each row of a (K, d) stack with itself, shape (K, d, d)."""
+    return rows[:, :, None] * rows[:, None, :]
 
 
 def _complement_moments(
-    mean: np.ndarray, cov: np.ndarray, mom: TruncatedMoments
+    means: np.ndarray,
+    covs: np.ndarray,
+    masses: np.ndarray,
+    in_means: np.ndarray,
+    in_covs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the component outside the box.
+    """Means and covariances of K components outside the box, stacked.
 
-    Derived from the total-moment decomposition
-    E[X] = mass * E_in[X] + (1 - mass) * E_out[X] and its second-moment
-    analogue, so it works for any region shape.
+    ``masses``, ``in_means`` and ``in_covs`` are the box masses (each
+    below 1) and the moments inside the box.  Derived from the
+    total-moment decomposition E[X] = mass * E_in[X] + (1 - mass) * E_out[X]
+    and its second-moment analogue, so it works for any region shape.
     """
-    rest = 1.0 - mom.mass
-    m_out = (mean - mom.mass * mom.mean) / rest
-    second_total = cov + np.outer(mean, mean)
-    second_in = mom.covariance + np.outer(mom.mean, mom.mean)
-    second_out = (second_total - mom.mass * second_in) / rest
-    v_out = second_out - np.outer(m_out, m_out)
-    return m_out, 0.5 * (v_out + v_out.T)
+    rest = 1.0 - masses
+    m_out = (means - masses[:, None] * in_means) / rest[:, None]
+    second_total = covs + _outer(means)
+    second_in = in_covs + _outer(in_means)
+    second_out = (second_total - masses[:, None, None] * second_in) / rest[:, None, None]
+    v_out = second_out - _outer(m_out)
+    return m_out, 0.5 * (v_out + v_out.transpose(0, 2, 1))
+
+
+def _m_step(
+    data: np.ndarray,
+    resp: np.ndarray,
+    weights: np.ndarray,
+    means: np.ndarray,
+    covs: np.ndarray,
+    inside: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    floor: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One M-step for all K components at once.
+
+    ``resp`` holds the (n, K) responsibilities; ``inside`` the box
+    masses, means and covariances of the components in truncated mode,
+    None otherwise.  The data means are ``resp.T @ data`` over the
+    responsibility masses, and the scatter about them is one batched
+    (K, d, n) @ (K, n, d) product of the centered data, so it keeps its
+    accuracy for data far from the origin.  In truncated mode a component
+    whose box mass is below 1 - 1e-12 blends these statistics with its
+    moments outside the box, weighted as the draws the box rejected.
+
+    Returns the unnormalized weights, the means, the floored covariances
+    and the responsibility masses.  A component whose responsibility mass
+    is below 1e-8 gets meaningless parameters, for the caller to
+    reinitialize.
+    """
+    n = data.shape[0]
+    resp_mass = resp.sum(axis=0)
+    mass = np.where(resp_mass < 1e-8, 1.0, resp_mass)
+    ybar = resp.T @ data / mass[:, None]
+    diff = np.ascontiguousarray(data.T) - ybar[:, :, None]
+    scatter = (diff * resp.T[:, None, :]) @ diff.transpose(0, 2, 1) / mass[:, None, None]
+    new_weights, new_means, new_covs = resp_mass / n, ybar, scatter
+    if inside is not None:
+        masses, in_means, in_covs = inside
+        total_mass = float(weights @ masses)
+        corrected = masses < 1.0 - 1e-12
+        # Components left uncorrected enter as mass 0, which divides by nothing.
+        cut = np.where(corrected, masses, 0.0)
+        m_out, v_out = _complement_moments(means, covs, cut, in_means, in_covs)
+        virtual = n * weights * (1.0 - cut) / total_mass
+        blend = mass + virtual
+        mu = (mass[:, None] * ybar + virtual[:, None] * m_out) / blend[:, None]
+        d1 = ybar - mu
+        d2 = m_out - mu
+        sigma = (
+            mass[:, None, None] * (scatter + _outer(d1))
+            + virtual[:, None, None] * (v_out + _outer(d2))
+        ) / blend[:, None, None]
+        new_weights = np.where(
+            corrected, total_mass * resp_mass / n + weights * (1.0 - masses), new_weights
+        )
+        new_means = np.where(corrected[:, None], mu, ybar)
+        new_covs = np.where(corrected[:, None, None], sigma, scatter)
+    return new_weights, new_means, _floor_covariance(new_covs, floor), resp_mass
+
+
+def _positive_definite(cov: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _em_run(
+    data: np.ndarray,
+    config: FitConfig,
+    box: Optional[TruncationBox],
+    pooled: np.ndarray,
+    restart: int,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], FitDiagnostics]:
+    """EM from the initialization of one restart; truncated mode when ``box`` is given.
+
+    Returns the final (weights, means, covariances) and the diagnostics.
+    The Monte Carlo draw blocks and continuation rows belong to the run
+    and are freed when it returns.
+    """
+    n, dim = data.shape
+    k = config.n_components
+    rng = np.random.Generator(np.random.PCG64(derive_seed(config.seed, "em-init", restart)))
+    weights = np.full(k, 1.0 / k)
+    means = _kmeanspp_means(data, k, rng)
+    covs = np.repeat(pooled[None, :, :], k, axis=0)
+    if box is not None and dim > 1:
+        # Common random numbers: one draw block and one continuation stream
+        # per component, reused by every iteration, so the Monte Carlo
+        # log-likelihood is a deterministic function of the parameters
+        # and the convergence test sees real progress instead of
+        # resampling noise.
+        blocks, streams = _first_blocks(
+            [derive_seed(config.seed, f"em-mc-{restart}", j) for j in range(k)],
+            config.mc_moment_draws,
+            dim,
+        )
+    trace: list[float] = []
+    reinits: list[tuple[int, int]] = []
+    converged = False
+    chols = None  # factors of covs; None before the first and after a reinitialization
+    for iteration in range(config.max_iterations + 1):
+        # An overflowing fit stops here with a ValueError, which
+        # select_components records as a failure for this K.
+        for name, values in (("weights", weights), ("means", means), ("covariances", covs)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+        if chols is None:
+            chols = np.linalg.cholesky(covs)
+        log_weighted = _component_log_densities(data, means, chols) + np.log(weights)
+        row_ll = _logsumexp_rows(log_weighted)
+        ll = float(row_ll.sum())
+        inside = None
+        if box is not None:
+            if dim == 1:
+                lo, hi = float(box.lower[0]), float(box.upper[0])
+                moments = [
+                    _moments_1d(float(means[j, 0]), float(covs[j, 0, 0]), lo, hi)
+                    for j in range(k)
+                ]
+            else:
+                moments = _moments_mc(
+                    means, chols, box, config.mc_moment_draws, blocks, streams
+                )
+            masses = np.array([m.mass for m in moments])
+            inside = (
+                masses,
+                np.array([m.mean for m in moments]),
+                np.array([m.covariance for m in moments]),
+            )
+            ll -= n * math.log(float(weights @ masses))
+        trace.append(ll)
+        if iteration > 0 and abs(ll - trace[-2]) / n < config.loglik_tolerance:
+            converged = True
+            break
+        if iteration == config.max_iterations:
+            break
+
+        resp = np.exp(log_weighted - row_ll[:, None])
+        new_weights, means, covs, resp_mass = _m_step(
+            data, resp, weights, means, covs, inside, config.covariance_floor
+        )
+        collapsed = resp_mass < 1e-8
+        chols = None
+        if not collapsed.any():
+            try:
+                chols = np.linalg.cholesky(covs)
+            except np.linalg.LinAlgError:
+                pass
+        if chols is None:
+            # Reinitialize from a random data point, in component order, every
+            # component whose mass collapsed or whose covariance is not
+            # positive definite.
+            for j in range(k):
+                if collapsed[j] or not _positive_definite(covs[j]):
+                    means[j] = data[rng.integers(n)]
+                    covs[j] = pooled
+                    new_weights[j] = 1.0 / k
+                    reinits.append((iteration, j))
+        weights = new_weights / new_weights.sum()
+
+    diag = FitDiagnostics(
+        loglik_trace=trace,
+        final_loglik=trace[-1],
+        n_iterations=len(trace) - 1,
+        converged=converged,
+        restart_index=restart,
+        restart_logliks=[],
+        reinit_events=reinits,
+    )
+    return (weights, means, covs), diag
 
 
 def em_fit(
@@ -1072,6 +1311,11 @@ def em_fit(
     missing data: each component's update blends the responsibility-
     weighted data statistics with the moments of the component outside
     the box, which de-biases means pulled toward the box interior.
+
+    Each iteration is batched over the K components: one log-density
+    kernel for the E-step, one M-step over the stack (:func:`_m_step`),
+    and one Cholesky factorization of the new covariances, which the
+    next E-step and the Monte Carlo moments reuse.
 
     Args:
         data: (n, d) observations; in truncated mode all rows must lie
@@ -1105,129 +1349,19 @@ def em_fit(
             raise ValueError("all training rows must lie inside the truncation box")
         if box.is_unbounded:
             truncated = False
-    k = config.n_components
     pooled = np.cov(data, rowvar=False, bias=True).reshape(dim, dim)
     pooled = _floor_covariance(pooled, max(config.covariance_floor, 1e-10))
 
-    best: Optional[tuple[float, tuple[np.ndarray, ...], FitDiagnostics]] = None
+    best: Optional[tuple[tuple[np.ndarray, ...], FitDiagnostics]] = None
     restart_lls: list[float] = []
     for restart in range(config.restarts):
-        rng = np.random.Generator(
-            np.random.PCG64(derive_seed(config.seed, "em-init", restart))
-        )
-        weights = np.full(k, 1.0 / k)
-        means = _kmeanspp_means(data, k, rng)
-        covs = np.repeat(pooled[None, :, :], k, axis=0)
-        if truncated and dim > 1:
-            # Common random numbers: one draw block per restart and
-            # component, reused by every iteration, so the Monte Carlo
-            # log-likelihood is a deterministic function of the parameters
-            # and the convergence test sees real progress instead of
-            # resampling noise.
-            blocks, states = _first_blocks(
-                [derive_seed(config.seed, f"em-mc-{restart}", j) for j in range(k)],
-                config.mc_moment_draws,
-                dim,
-            )
-        trace: list[float] = []
-        reinits: list[tuple[int, int]] = []
-        converged = False
-        prev_ll = -np.inf
-        for iteration in range(config.max_iterations + 1):
-            # An overflowing fit stops here with a ValueError, which
-            # select_components records as a failure for this K.
-            for name, values in (("weights", weights), ("means", means), ("covariances", covs)):
-                if not np.isfinite(values).all():
-                    raise ValueError(f"{name} must be finite")
-            chols = np.linalg.cholesky(covs)
-            log_weighted = _component_log_densities(data, means, chols) + np.log(weights)
-            row_ll = _logsumexp_rows(log_weighted)
-            moments = None
-            if truncated:
-                if dim == 1:
-                    lo, hi = float(box.lower[0]), float(box.upper[0])
-                    moments = [
-                        _moments_1d(float(means[j, 0]), float(covs[j, 0, 0]), lo, hi)
-                        for j in range(k)
-                    ]
-                else:
-                    moments = _moments_mc(
-                        means, chols, box, config.mc_moment_draws, blocks, states
-                    )
-                masses = np.array([m.mass for m in moments])
-                total_mass = float(weights @ masses)
-                ll = float(row_ll.sum()) - n * math.log(total_mass)
-            else:
-                ll = float(row_ll.sum())
-            trace.append(ll)
-            if iteration > 0 and abs(ll - prev_ll) / n < config.loglik_tolerance:
-                converged = True
-                break
-            if iteration == config.max_iterations:
-                break
-            prev_ll = ll
-
-            # E-step responsibilities, then the mode-dependent M-step.
-            resp = np.exp(log_weighted - row_ll[:, None])
-            resp_mass = resp.sum(axis=0)
-            new_weights = np.empty(k)
-            for j in range(k):
-                if resp_mass[j] < 1e-8:
-                    means[j] = data[rng.integers(n)]
-                    covs[j] = pooled.copy()
-                    new_weights[j] = 1.0 / k
-                    reinits.append((iteration, j))
-                    continue
-                ybar = resp[:, j] @ data / resp_mass[j]
-                diff = data - ybar
-                scatter = (resp[:, j][:, None] * diff).T @ diff / resp_mass[j]
-                if truncated and moments[j].mass < 1.0 - 1e-12:
-                    mom = moments[j]
-                    m_out, v_out = _complement_moments(means[j], covs[j], mom)
-                    virtual = n * weights[j] * (1.0 - mom.mass) / total_mass
-                    w_data, w_virt = resp_mass[j], virtual
-                    mu_new = (w_data * ybar + w_virt * m_out) / (w_data + w_virt)
-                    d1 = ybar - mu_new
-                    d2 = m_out - mu_new
-                    sigma_new = (
-                        w_data * (scatter + np.outer(d1, d1))
-                        + w_virt * (v_out + np.outer(d2, d2))
-                    ) / (w_data + w_virt)
-                    new_weights[j] = (
-                        total_mass * resp_mass[j] / n
-                        + weights[j] * (1.0 - mom.mass)
-                    )
-                else:
-                    mu_new = ybar
-                    sigma_new = scatter
-                    new_weights[j] = resp_mass[j] / n
-                means[j] = mu_new
-                covs[j] = _floor_covariance(sigma_new, config.covariance_floor)
-                try:
-                    np.linalg.cholesky(covs[j])
-                except np.linalg.LinAlgError:
-                    means[j] = data[rng.integers(n)]
-                    covs[j] = pooled.copy()
-                    new_weights[j] = 1.0 / k
-                    reinits.append((iteration, j))
-            weights = new_weights / new_weights.sum()
-
-        final_ll = trace[-1]
-        restart_lls.append(final_ll)
-        if best is None or final_ll > best[0]:
-            diag = FitDiagnostics(
-                loglik_trace=trace,
-                final_loglik=final_ll,
-                n_iterations=len(trace) - 1,
-                converged=converged,
-                restart_index=restart,
-                restart_logliks=[],
-                reinit_events=reinits,
-            )
-            best = (final_ll, (weights, means, covs), diag)
+        params, diag = _em_run(data, config, box if truncated else None, pooled, restart)
+        restart_lls.append(diag.final_loglik)
+        if best is None or diag.final_loglik > best[1].final_loglik:
+            best = (params, diag)
 
     assert best is not None
-    _, (weights, means, covs), diag = best
+    (weights, means, covs), diag = best
     diag.restart_logliks = restart_lls
     model = GaussianMixture(
         weights,

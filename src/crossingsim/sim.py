@@ -19,7 +19,6 @@ the two episodes differ only in the driving policy.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Protocol, Sequence
@@ -421,6 +420,10 @@ def run_paired_experiments(
     indices = range(n_experiments)
     if parallel == 1:
         return [runner(i) for i in indices]
+    # Imported here: the process pool loads multiprocessing, which no
+    # serial run needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=parallel) as pool:
         chunk = max(1, n_experiments // (4 * parallel))
         return list(pool.map(runner, indices, chunksize=chunk))

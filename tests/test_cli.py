@@ -244,6 +244,31 @@ class TestFit:
         assert np.isfinite(float(bic))
         assert rate == ""  # no previous count to compare against
 
+    def test_same_config_twice_is_byte_identical(self, tmp_path):
+        # Two truncated 4-D fits in one process.  On exponential rows the
+        # components have box masses near 0.2, so at 2000 accepted draws
+        # they sample past their first blocks of 8192 draws, and both runs
+        # use continuation rows.
+        cfg = write_config(
+            tmp_path,
+            RunConfig(
+                mixture=MixtureConfig(
+                    k_min=1, k_max=2, restarts=2, max_iterations=5, mc_moment_draws=2000
+                ),
+            ),
+        )
+        rows = np.random.Generator(np.random.PCG64(5)).exponential(1.0, (300, 4)) + 1e-3
+        text = OBS_HEADER + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+        for name in ("a", "b"):
+            out = tmp_path / name
+            out.mkdir()
+            (out / "observations.csv").write_text(text)
+            assert main(["fit", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        for artifact in ("model.json", "bic_curve.csv"):
+            assert (tmp_path / "a" / artifact).read_bytes() == (
+                tmp_path / "b" / artifact
+            ).read_bytes()
+
     def test_missing_observations_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_fit_config())
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE

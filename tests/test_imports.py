@@ -1,7 +1,7 @@
-"""Import cost: scipy's special functions and linear algebra load only on demand.
+"""Import cost: scipy and the process pool load only on demand.
 
 A fresh interpreter runs the stages in process and reports, after each,
-which of the heavy scipy modules it has loaded.
+which scipy modules and process-pool modules it has loaded.
 """
 
 import json
@@ -12,15 +12,23 @@ from pathlib import Path
 import crossingsim
 
 SRC = str(Path(crossingsim.__file__).resolve().parent.parent)
-HEAVY = ("scipy.special", "scipy.linalg")
+POOL = "concurrent.futures.process"
 
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
-out, heavy = sys.argv[2], sys.argv[3].split(",")
+out, pool = sys.argv[2], sys.argv[3]
 
 def loaded():
-    return [name for name in heavy if name in sys.modules]
+    return sorted(
+        name for name in sys.modules
+        if name == "scipy" or name.startswith("scipy.") or name == pool
+    )
+
+def run(stage, config, directory):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = crossingsim.cli.main([stage, "--config", config, "--out", directory])
+    return {"status": status, "loaded": loaded()}
 
 report = {}
 import crossingsim.cli
@@ -29,17 +37,26 @@ from crossingsim.ingest import reference_generator
 reference_generator().save(out + "/model.json")
 with open(out + "/config.json", "w") as handle:
     json.dump({"master_seed": 5, "eval": {"n_experiments": 2}}, handle)
+# A 4-D truncated fit over K = 1..2 with a few EM iterations, in a
+# directory of its own so that the later stages keep the reference model.
+os.mkdir(out + "/fit")
+with open(out + "/fit/config.json", "w") as handle:
+    json.dump({
+        "master_seed": 5,
+        "mixture": {"k_min": 1, "k_max": 2, "max_iterations": 3, "mc_moment_draws": 500},
+        "ingest": {"n_synthetic": 300},
+    }, handle)
+for stage in ("gen-data", "fit"):
+    report[stage] = run(stage, out + "/fit/config.json", out + "/fit")
 for stage in ("simulate", "evaluate"):
-    with contextlib.redirect_stdout(io.StringIO()):
-        status = crossingsim.cli.main([stage, "--config", out + "/config.json", "--out", out])
-    report[stage] = {"status": status, "loaded": loaded()}
+    report[stage] = run(stage, out + "/config.json", out)
 print(json.dumps(report))
 """
 
 
 def test_scipy_special_and_linalg_load_only_when_needed(tmp_path):
     child = subprocess.run(
-        [sys.executable, "-c", CHILD, SRC, str(tmp_path), ",".join(HEAVY)],
+        [sys.executable, "-c", CHILD, SRC, str(tmp_path), POOL],
         capture_output=True,
         text=True,
         timeout=300,
@@ -47,7 +64,12 @@ def test_scipy_special_and_linalg_load_only_when_needed(tmp_path):
     assert child.returncode == 0, child.stderr
     report = json.loads(child.stdout.splitlines()[-1])
     assert report["import"] == []
-    assert report["simulate"] == {"status": 0, "loaded": []}
+    for stage in ("gen-data", "fit", "simulate"):
+        assert report[stage] == {"status": 0, "loaded": []}, stage
     # The human baseline's 1-D box masses need the normal CDF, so evaluate
-    # is where scipy.special comes in.
-    assert report["evaluate"] == {"status": 0, "loaded": ["scipy.special"]}
+    # is where scipy.special comes in; a serial evaluate starts no pool.
+    evaluate = report["evaluate"]
+    assert evaluate["status"] == 0
+    assert "scipy.special" in evaluate["loaded"]
+    assert "scipy.linalg" not in evaluate["loaded"]
+    assert POOL not in evaluate["loaded"]

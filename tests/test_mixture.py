@@ -249,6 +249,34 @@ class TestTruncatedMomentsMonteCarlo:
             continued += want.mass < n_accepted / 8192
         assert continued >= 1
 
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_stacked_kernel_reuses_its_blocks_across_calls(self, dim):
+        # EM passes one _first_blocks result to every iteration of a
+        # restart.  The means move down and then back up between the three
+        # calls here, so a continued component first needs more
+        # continuation rows than it has kept and then fewer.
+        rng = np.random.Generator(np.random.PCG64(60 + dim))
+        n_accepted = 1_000
+        upper = np.full(dim, np.inf)
+        upper[1:2] = 1.5
+        box = TruncationBox(np.r_[0.0, np.full(dim - 1, -np.inf)], upper)
+        covs = np.array([a @ a.T + 0.2 * np.eye(dim) for a in rng.uniform(-1, 1, (5, dim, dim))])
+        chols = np.linalg.cholesky(covs)
+        # First coordinates 0.5 to 2 standard deviations below the box.
+        means = rng.uniform(-0.5, 0.5, size=(5, dim))
+        means[:, 0] = -np.sqrt(covs[:, 0, 0]) * np.array([0.5, 1.3, 1.5, 1.8, 2.0])
+        seeds = [derive_seed(23, "kernel-reuse", j) for j in range(5)]
+        blocks, streams = mixture._first_blocks(seeds, n_accepted, dim)
+        continued = 0
+        for shift in (0.0, -0.4, 0.6):
+            means = means + np.r_[shift, np.zeros(dim - 1)]
+            got = mixture._moments_mc(means, chols, box, n_accepted, blocks, streams)
+            for j in range(5):
+                want = reference_moments_mc(means[j], covs[j], box, n_accepted, seeds[j])
+                assert_same_moments(got[j], want)
+                continued += want.mass < n_accepted / 8192
+        assert continued >= 9
+
     def test_stacked_kernel_raises_for_any_degenerate_component(self):
         box = TruncationBox.positive_orthant(2)
         means = np.array([[1.0, 1.0], [-9.0, -9.0]])
@@ -819,6 +847,45 @@ class TestEmFit:
             model.covariances[0], np.cov(data, rowvar=False, bias=True), atol=1e-9
         )
         assert model.weights[0] == 1.0
+
+    def test_single_component_closed_form_far_from_the_origin(self):
+        """As above on the same data plus 1e4: the scatter is centered."""
+        rng = np.random.Generator(np.random.PCG64(10))
+        data = rng.multivariate_normal([1.0, -2.0], [[2.0, 0.6], [0.6, 1.0]], size=400) + 1e4
+        model, _ = em_fit(data, FitConfig(n_components=1, covariance_floor=0.0))
+        np.testing.assert_allclose(model.means[0], data.mean(axis=0), atol=1e-9)
+        np.testing.assert_allclose(
+            model.covariances[0], np.cov(data, rowvar=False, bias=True), atol=1e-9
+        )
+        assert model.weights[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "mode, max_iterations, event",
+        [("none", 3, (2, 1)), ("truncated", 2, (1, 1))],
+    )
+    def test_singular_component_is_reinitialized(self, mode, max_iterations, event):
+        # Six copies of one point far from 200 standard-normal rows: with no
+        # covariance floor, component 1 closes in on them until its
+        # covariance fails Cholesky, and EM restarts it from a random data
+        # row (row 43) with the pooled covariance.  Recorded events; the
+        # iteration cap keeps only the first, because the later events of
+        # such a singular fit move with last-bit rounding.
+        rows = np.random.Generator(np.random.PCG64(0)).standard_normal((200, 2))
+        data = np.concatenate([rows, np.tile([6.0, 6.0], (6, 1))])
+        if mode == "truncated":
+            data = np.abs(data)  # into the positive orthant
+        model, diag = em_fit(
+            data,
+            FitConfig(
+                n_components=3, covariance_floor=0.0, seed=0, truncation_mode=mode,
+                max_iterations=max_iterations, mc_moment_draws=500,
+            ),
+        )
+        assert diag.reinit_events == [event]
+        assert diag.n_iterations == max_iterations
+        np.testing.assert_array_equal(model.means[1], data[43])
+        pooled = np.cov(data, rowvar=False, bias=True) + 1e-10 * np.eye(2)
+        np.testing.assert_allclose(model.covariances[1], pooled, rtol=1e-12)
 
     def test_loglik_trace_monotone_untruncated(self):
         rng = np.random.Generator(np.random.PCG64(11))

@@ -104,8 +104,7 @@ def read_observations(path: Union[str, Path]) -> ObservationMatrix:
 def write_observations(matrix: ObservationMatrix, path: Union[str, Path]) -> None:
     """Write observation rows as delimited text; floats keep full precision."""
     lines = [",".join(OBS_COLUMNS)]
-    for row in matrix.data:
-        lines.append(",".join(repr(float(x)) for x in row))
+    lines.extend(",".join(map(repr, row)) for row in matrix.data.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -25,12 +25,12 @@ rows a component goes on sampling with live with the restart too, so
 each is drawn once per restart; they are freed when the restart ends
 (:class:`FitConfig` gives their memory).
 
-Only numpy is imported with the module.  scipy is imported inside the
-functions that need it, so that a process which never calls them (the
-episode simulator, a fit in more than one dimension) never loads it.
-New scipy callers follow the same rule, and pay in memory when they
-run: importing ``scipy.special`` adds about 25 MB to a process's peak
-resident memory, and ``scipy.stats.qmc`` about 46 MB more.
+The module needs numpy alone.  The 1-D closed forms take the normal CDF
+from a private port of Cephes' ``ndtr`` that equals ``scipy.special.ndtr``
+bit for bit, so no stage loads scipy.  Code that brings scipy back pays
+in memory wherever it runs: importing ``scipy.special`` adds about 25 MB
+to a process's peak resident memory, and ``scipy.stats.qmc`` about 46 MB
+more.
 """
 
 from __future__ import annotations
@@ -97,6 +97,9 @@ class TruncationBox:
 
     lower: np.ndarray
     upper: np.ndarray
+    # (column, bound) of every finite bound, for _inside.
+    _finite_lower: tuple = field(init=False, repr=False, compare=False)
+    _finite_upper: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lower = np.asarray(self.lower, dtype=float)
@@ -111,6 +114,9 @@ class TruncationBox:
         object.__setattr__(self, "upper", upper)
         self.lower.setflags(write=False)
         self.upper.setflags(write=False)
+        for name, bounds in (("_finite_lower", lower), ("_finite_upper", upper)):
+            finite = np.flatnonzero(np.isfinite(bounds))
+            object.__setattr__(self, name, tuple(zip(finite.tolist(), bounds[finite])))
 
     @classmethod
     def positive_orthant(cls, dim: int) -> "TruncationBox":
@@ -210,14 +216,96 @@ def _x_times_pdf(x: float) -> float:
     return x * _std_pdf(x)
 
 
-def _interval_mass(alpha, beta):
-    # Difference of normal CDFs, evaluated on whichever tail avoids
-    # cancellation; elementwise on arrays.  ndtr has no numpy equivalent,
-    # and scipy.special is most of the package's import time and memory,
-    # so it is imported here: only the 1-D closed forms pay for it.
-    from scipy.special import ndtr
+# Cephes' normal CDF (S. L. Moshier, as in scipy.special's ``ndtr``),
+# ported operation for operation: the same coefficient tables, Horner
+# order, branch points and libm ``exp`` (through ``math.exp``), so every
+# result equals scipy's bit for bit without importing it.
+_SQRT1_2 = math.sqrt(0.5)
+_MAXLOG = 7.09782712893383996843e2  # log(2**1024); erfc(x) is 0 once x*x passes it
+# erfc(x) = exp(-x**2) P(x) / Q(x) for 1 <= x < 8, and R(x) / S(x) beyond.
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+# erf(x) = x T(x**2) / U(x**2) for |x| <= 1.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
 
-    return np.where(alpha >= 0.0, ndtr(-alpha) - ndtr(-beta), ndtr(beta) - ndtr(alpha))
+
+def _polevl(x: float, coefs: tuple) -> float:
+    # Horner's rule, highest power first.  Cephes' p1evl, which leaves a
+    # leading 1 out of its table, gives the same bits, as 1.0 * x == x.
+    value = coefs[0]
+    for c in coefs[1:]:
+        value = value * x + c
+    return value
+
+
+def _erf(x: float) -> float:
+    # Only |x| <= 1 is asked for, where Cephes' erf is the T/U quotient.
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    # Only x >= 0 is asked for, so Cephes' 2 - erfc(-x) branch is left out.
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        return z * _polevl(x, _ERFC_P) / _polevl(x, _ERFC_Q)
+    return z * _polevl(x, _ERFC_R) / _polevl(x, _ERFC_S)
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF at ``a``, equal to ``scipy.special.ndtr(a)``.
+
+    NaN propagates through the erfc branch, as in Cephes.
+    """
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0.0 else y
+
+
+def _scalar_interval_mass(alpha: float, beta: float) -> float:
+    # Difference of normal CDFs, evaluated on whichever tail avoids
+    # cancellation.
+    if alpha >= 0.0:
+        return _ndtr(-alpha) - _ndtr(-beta)
+    return _ndtr(beta) - _ndtr(alpha)
+
+
+def _interval_mass(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """:func:`_scalar_interval_mass` over (K,) bounds, one component each."""
+    return np.array(
+        [_scalar_interval_mass(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
+    )
 
 
 def _moments_1d(mean: float, var: float, lo: float, hi: float) -> TruncatedMoments:
@@ -225,7 +313,7 @@ def _moments_1d(mean: float, var: float, lo: float, hi: float) -> TruncatedMomen
     sigma = math.sqrt(var)
     alpha = (lo - mean) / sigma if math.isfinite(lo) else -math.inf
     beta = (hi - mean) / sigma if math.isfinite(hi) else math.inf
-    mass = float(_interval_mass(alpha, beta))
+    mass = _scalar_interval_mass(alpha, beta)
     if mass < 1e-300:
         raise DegenerateTruncationError(
             f"box [{lo}, {hi}] captures mass {mass} of N({mean}, {var})"
@@ -289,10 +377,10 @@ def _inside(box: TruncationBox, points: np.ndarray) -> np.ndarray:
     Tests one column per finite bound, so an infinite bound costs nothing.
     """
     inside = np.ones(points.shape[:-1], dtype=bool)
-    for i in np.flatnonzero(np.isfinite(box.lower)):
-        inside &= points[..., i] >= box.lower[i]
-    for i in np.flatnonzero(np.isfinite(box.upper)):
-        inside &= points[..., i] <= box.upper[i]
+    for i, bound in box._finite_lower:
+        inside &= points[..., i] >= bound
+    for i, bound in box._finite_upper:
+        inside &= points[..., i] <= bound
     return inside
 
 

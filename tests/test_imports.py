@@ -1,4 +1,4 @@
-"""Import cost: scipy and the process pool load only on demand.
+"""Import cost: no stage loads scipy, and only a parallel run the process pool.
 
 A fresh interpreter runs the stages in process and reports, after each,
 which scipy modules and process-pool modules it has loaded.
@@ -25,9 +25,9 @@ def loaded():
         if name == "scipy" or name.startswith("scipy.") or name == pool
     )
 
-def run(stage, config, directory):
+def run(stage, config, directory, *extra):
     with contextlib.redirect_stdout(io.StringIO()):
-        status = crossingsim.cli.main([stage, "--config", config, "--out", directory])
+        status = crossingsim.cli.main([stage, "--config", config, "--out", directory, *extra])
     return {"status": status, "loaded": loaded()}
 
 report = {}
@@ -48,6 +48,9 @@ with open(out + "/fit/config.json", "w") as handle:
     }, handle)
 for stage in ("gen-data", "fit"):
     report[stage] = run(stage, out + "/fit/config.json", out + "/fit")
+report["condition"] = run(
+    "condition", out + "/config.json", out, "--given", "inv_R=0.12", "--given", "v=5.0"
+)
 for stage in ("simulate", "evaluate"):
     report[stage] = run(stage, out + "/config.json", out)
 print(json.dumps(report))
@@ -64,12 +67,7 @@ def test_scipy_special_and_linalg_load_only_when_needed(tmp_path):
     assert child.returncode == 0, child.stderr
     report = json.loads(child.stdout.splitlines()[-1])
     assert report["import"] == []
-    for stage in ("gen-data", "fit", "simulate"):
+    # The 1-D normal CDF of the condition table and of the human baseline's
+    # mode search is the package's own, and a serial evaluate starts no pool.
+    for stage in ("gen-data", "fit", "condition", "simulate", "evaluate"):
         assert report[stage] == {"status": 0, "loaded": []}, stage
-    # The human baseline's 1-D box masses need the normal CDF, so evaluate
-    # is where scipy.special comes in; a serial evaluate starts no pool.
-    evaluate = report["evaluate"]
-    assert evaluate["status"] == 0
-    assert "scipy.special" in evaluate["loaded"]
-    assert "scipy.linalg" not in evaluate["loaded"]
-    assert POOL not in evaluate["loaded"]

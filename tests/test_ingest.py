@@ -39,6 +39,17 @@ class TestObservationIo:
         np.testing.assert_array_equal(back.data, matrix.data)
         assert path.read_text().splitlines()[0] == ",".join(OBS_COLUMNS)
 
+    def test_bytes_equal_per_value_repr(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(9))
+        data = rng.uniform(1e-9, 1e9, size=(300, 4)) ** rng.choice([1.0, -1.0], size=(300, 4))
+        data[0] = [5e-324, 1e-300, 1e300, 1.7976931348623157e308]
+        data[1] = [0.1, 1.0, 1e16, 123456789.0]
+        path = tmp_path / "obs.csv"
+        write_observations(ObservationMatrix(data), path)
+        lines = [",".join(OBS_COLUMNS)]
+        lines += [",".join(repr(float(x)) for x in row) for row in data]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_empty_matrix_round_trip(self, tmp_path):
         path = tmp_path / "obs.csv"
         write_observations(ObservationMatrix(np.empty((0, 4))), path)

@@ -4,13 +4,14 @@ Closed-form oracle values are frozen as literals; scipy serves as an
 independent implementation for everything that has one there.
 """
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 from scipy.stats import multivariate_normal, norm, truncnorm
 
 from crossingsim import mixture
@@ -82,6 +83,24 @@ class TestTruncationBox:
         got = box.contains(np.array([[0.5], [-0.5]]))
         np.testing.assert_array_equal(got, [True, False])
 
+    def test_inside_uses_cached_finite_bounds_as_contains(self):
+        box = TruncationBox(
+            np.array([0.0, -np.inf, -1.0, -np.inf]), np.array([np.inf, 2.0, 1.0, np.inf])
+        )
+        assert box._finite_lower == ((0, 0.0), (2, -1.0))
+        assert box._finite_upper == ((1, 2.0), (2, 1.0))
+        points = np.random.default_rng(3).uniform(-3.0, 3.0, size=(500, 4))
+        points[:4] = [
+            [0.0, 2.0, -1.0, 9.0], [-0.0, 2.0, 1.0, -9.0], [-1e-300, 0, 0, 0], [0, 0, 1.5, 0]
+        ]
+        np.testing.assert_array_equal(mixture._inside(box, points), box.contains(points))
+        # The cached columns take no part in repr or equality.
+        shown = [f.name for f in dataclasses.fields(box) if f.repr or f.compare]
+        assert shown == ["lower", "upper"]
+        assert repr(box) == f"TruncationBox(lower={box.lower!r}, upper={box.upper!r})"
+        one = TruncationBox(np.array([0.0]), np.array([np.inf]))
+        assert one == TruncationBox(np.array([0.0]), np.array([np.inf]))
+
 
 class TestTruncatedMomentsExact:
     def test_half_normal_frozen_values(self):
@@ -133,6 +152,63 @@ class TestTruncatedMomentsExact:
             truncated_moments(std_component(), TruncationBox.positive_orthant(1), method="qmc")
         with pytest.raises(ValueError):
             truncated_moments(std_component(), TruncationBox.positive_orthant(2))
+
+
+def _cdf_edge_inputs():
+    """Branch points of Cephes' ndtr and erfc and extreme magnitudes, each
+    of either sign and with its 50 nearest floats on both sides."""
+    centres = [0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.5, 37.7, 38.0,
+               1e-300, 5e-324, 1e300]
+    values = []
+    for centre in centres:
+        for x in (centre, -centre):
+            below = above = x
+            values.append(x)
+            for _ in range(50):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                values += [below, above]
+    return np.array(values)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype == np.float64
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    bad = np.flatnonzero(~same)
+    assert bad.size == 0, (bad[:5], got[bad[:5]], want[bad[:5]])
+
+
+class TestNormalCdfPort:
+    """The port of Cephes' ndtr against scipy.special.ndtr, bit for bit."""
+
+    @staticmethod
+    def port(xs):
+        return np.array([mixture._ndtr(x) for x in xs.tolist()])
+
+    def test_branch_edges_and_neighbours(self):
+        xs = _cdf_edge_inputs()
+        assert_bitwise_equal(self.port(xs), ndtr(xs))
+
+    def test_seeded_sample_on_the_tails(self):
+        xs = np.random.default_rng(20170).uniform(-40.0, 40.0, 100_000)
+        assert_bitwise_equal(self.port(xs), ndtr(xs))
+
+    def test_infinities_and_nan(self):
+        assert mixture._ndtr(math.inf) == 1.0
+        assert mixture._ndtr(-math.inf) == 0.0
+        assert math.isnan(mixture._ndtr(math.nan))
+
+    def test_interval_mass_matches_the_scipy_formula(self):
+        rng = np.random.default_rng(8)
+        ends = np.sort(rng.uniform(-12.0, 12.0, size=(20_000, 2)), axis=1)
+        ends[:2000, 0] = -np.inf
+        ends[2000:4000, 1] = np.inf
+        ends[4000:4100] = [-np.inf, np.inf]
+        ends[4100:5000] = np.sort(rng.choice(_cdf_edge_inputs(), size=(900, 2)), axis=1)
+        alpha, beta = ends[:, 0], ends[:, 1]
+        want = np.where(alpha >= 0.0, ndtr(-alpha) - ndtr(-beta), ndtr(beta) - ndtr(alpha))
+        assert_bitwise_equal(mixture._interval_mass(alpha, beta), want)
+        scalar = [mixture._scalar_interval_mass(a, b) for a, b in ends[::97].tolist()]
+        assert_bitwise_equal(np.array(scalar), want[::97])
 
 
 def reference_moments_mc(mean, cov, box, n_accepted, seed):

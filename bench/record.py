@@ -4,8 +4,9 @@
 
 The file holds three things:
 
-* ``environment``: machine, platform, core count, Python, numpy and scipy
-  versions, and the BLAS thread settings the timed processes run with;
+* ``environment``: machine, platform, core count, Python and numpy
+  versions (and scipy's, when it is installed; crossingsim needs numpy
+  alone), and the BLAS thread settings the timed processes run with;
 * ``per_layer``: for every workload in the checkout's BENCHMARK.json, the
   result of ``perfbench/run.py --trace 1`` at workload seed 5 (per-layer
   counts and times, and whether every output was correct);
@@ -92,15 +93,19 @@ def environment() -> dict:
             )
     except OSError:
         pass
-    return {
+    env = {
         "machine": f"{platform.machine()} {cpu}",
         "platform": platform.platform(),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
-        "scipy": importlib.metadata.version("scipy"),
         "blas_env": BLAS_ENV,
     }
+    try:
+        env["scipy"] = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        pass
+    return env
 
 
 def source(root: Path) -> dict:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from crossingsim.mixture import GaussianMixture, conditional_mode
+from crossingsim.mixture import GaussianMixture, conditional_modes
 from crossingsim.scenario import (
     Kinematics,
     OBS_INV_RANGE,
@@ -36,6 +36,7 @@ __all__ = [
     "WalkSpeedDecision",
     "decide_walk_speed",
     "StrategyDecision",
+    "ModeQuery",
     "SoftYieldParams",
     "SoftYieldPlan",
     "soft_yield_decide",
@@ -253,6 +254,19 @@ class StrategyDecision(NamedTuple):
 _COAST = StrategyDecision(0.0)
 
 
+class ModeQuery(NamedTuple):
+    """A strategy's request for the mode of a 1-D conditional on an interval.
+
+    A strategy that can defer returns one from ``command(..., defer=True)``
+    in place of its decision.  The caller answers with the strategy's
+    ``resume``, passing what :func:`~crossingsim.mixture.conditional_modes`
+    returned for the query: the mode, or the ValueError of the search.
+    """
+
+    model: GaussianMixture
+    interval: tuple[float, float]
+
+
 def _advantage_or_inf(
     longitudinal_gap: float, vehicle_speed: float, ped: Pedestrian
 ) -> float:
@@ -463,6 +477,11 @@ class HumanDriver:
     every step so recovery does not overshoot).  If the conditional is
     unavailable (stopped vehicle, zero time advantage, singular observed
     block) the driver holds its speed and flags the decision.
+
+    An update runs in two steps: conditioning yields the mode query, and
+    the mode (or the search's error) yields the decision.  ``command``
+    runs both unless asked to ``defer``; the episode engine defers, so
+    that it can answer the queries of many episodes in one batched search.
     """
 
     def __init__(self, model: GaussianMixture, params: HumanDriverParams) -> None:
@@ -474,6 +493,7 @@ class HumanDriver:
         self._next_update = 0.0
         self._held = 0.0  # acceleration commanded until the next update
         self._recovering = True
+        self._speed = 0.0  # vehicle speed at the pending update
         self._search = self._speed_interval(model)
 
     @staticmethod
@@ -490,22 +510,18 @@ class HumanDriver:
             hi = lo + 1.0
         return lo, hi
 
-    def _recompute(
+    def _query(
         self,
         longitudinal_gap: float,
         vehicle_speed: float,
         pedestrians: Sequence[Pedestrian],
-    ) -> StrategyDecision:
+    ):
+        """Condition on the governing pedestrian: the mode search this update
+        needs, the error that stopped the conditioning, or None when no
+        pedestrian governs."""
         governing = select_governing(longitudinal_gap, vehicle_speed, pedestrians)
         if governing is None:
-            self._recovering = True
-            accel = (
-                self.params.recovery_acceleration
-                if vehicle_speed < self.params.free_flow_speed
-                else 0.0
-            )
-            return StrategyDecision(accel)
-        self._recovering = False
+            return None
         try:
             adv = time_advantage(
                 Kinematics(
@@ -521,8 +537,23 @@ class HumanDriver:
                 [OBS_INV_RANGE, OBS_WALK_SPEED, OBS_INV_TIME_ADVANTAGE],
                 [1.0 / longitudinal_gap, governing.walk_speed, 1.0 / adv],
             )
-            desired = conditional_mode(conditional, self._search)
-        except (ValueError, ZeroDivisionError):  # ConditioningError included
+        except (ValueError, ZeroDivisionError) as exc:  # ConditioningError included
+            return exc
+        return ModeQuery(conditional, self._search)
+
+    def _recompute(self, vehicle_speed: float, desired) -> StrategyDecision:
+        """The update's decision from the desired speed, the error that
+        stopped the update, or None when no pedestrian governs."""
+        if desired is None:
+            self._recovering = True
+            accel = (
+                self.params.recovery_acceleration
+                if vehicle_speed < self.params.free_flow_speed
+                else 0.0
+            )
+            return StrategyDecision(accel)
+        self._recovering = False
+        if isinstance(desired, Exception):
             return StrategyDecision(0.0, fallback=True)
         accel = (desired - vehicle_speed) / self.params.update_interval
         limit = self.params.max_acceleration
@@ -534,12 +565,28 @@ class HumanDriver:
         longitudinal_gap: float,
         vehicle_speed: float,
         pedestrians: Sequence[Pedestrian],
-    ) -> StrategyDecision:
-        fallback = False  # held commands never repeat a failed update's flag
-        if clock + 1e-9 >= self._next_update:
-            decision = self._recompute(longitudinal_gap, vehicle_speed, pedestrians)
-            self._next_update += self.update_interval
-            self._held, fallback = decision
+        defer: bool = False,
+    ) -> StrategyDecision | ModeQuery:
+        """This step's decision.  With ``defer``, an update that needs a mode
+        search returns its :class:`ModeQuery` instead, for :meth:`resume`."""
+        if clock + 1e-9 < self._next_update:
+            # Held commands never repeat a failed update's flag.
+            return self._hold(vehicle_speed, False)
+        self._next_update += self.update_interval
+        self._speed = vehicle_speed
+        query = self._query(longitudinal_gap, vehicle_speed, pedestrians)
+        if isinstance(query, ModeQuery):
+            if defer:
+                return query
+            (query,) = conditional_modes([query.model], [query.interval])
+        return self.resume(query)
+
+    def resume(self, desired) -> StrategyDecision:
+        """Finish the pending update with the mode (or the search's error)."""
+        self._held, fallback = self._recompute(self._speed, desired)
+        return self._hold(self._speed, fallback)
+
+    def _hold(self, vehicle_speed: float, fallback: bool) -> StrategyDecision:
         if (
             self._recovering
             and self._held > 0.0

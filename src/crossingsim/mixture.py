@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -60,6 +61,7 @@ __all__ = [
     "n_free_parameters",
     "select_components",
     "conditional_mode",
+    "conditional_modes",
     "Conditioner",
 ]
 
@@ -87,12 +89,13 @@ class ConditioningError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncationBox:
     """Axis-aligned truncation region ``lower[i] <= y[i] <= upper[i]``.
 
     Bounds may be infinite on either side; ``lower`` must be strictly
-    below ``upper`` in every dimension.
+    below ``upper`` in every dimension.  Two boxes are equal when their
+    bounds are.
     """
 
     lower: np.ndarray
@@ -117,6 +120,13 @@ class TruncationBox:
         for name, bounds in (("_finite_lower", lower), ("_finite_upper", upper)):
             finite = np.flatnonzero(np.isfinite(bounds))
             object.__setattr__(self, name, tuple(zip(finite.tolist(), bounds[finite])))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncationBox):
+            return NotImplemented
+        return np.array_equal(self.lower, other.lower) and np.array_equal(
+            self.upper, other.upper
+        )
 
     @classmethod
     def positive_orthant(cls, dim: int) -> "TruncationBox":
@@ -391,9 +401,10 @@ def _accepted_draws(
 
     ``z`` holds one standard-normal draw per row; the accepted draws keep
     their row order.  The shifted block is freed on return, before the
-    caller sums and centers what was accepted.
+    caller sums and centers what was accepted.  The product takes a
+    contiguous copy of chol^T, so BLAS runs its plain (NN) kernel.
     """
-    shifted = np.add((z @ chol.T).T, mean[:, None], order="C")
+    shifted = np.add((z @ np.ascontiguousarray(chol.T)).T, mean[:, None], order="C")
     return np.compress(_inside(box, shifted.T), shifted, axis=1)
 
 
@@ -705,13 +716,8 @@ class GaussianMixture:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianMixture):
             return NotImplemented
-        same_box = (self.truncation is None) == (other.truncation is None)
-        if same_box and self.truncation is not None:
-            same_box = np.array_equal(
-                self.truncation.lower, other.truncation.lower
-            ) and np.array_equal(self.truncation.upper, other.truncation.upper)
         return (
-            same_box
+            self.truncation == other.truncation
             and self.fit_seed == other.fit_seed
             and np.array_equal(self.weights, other.weights)
             and np.array_equal(self.means, other.means)
@@ -1561,6 +1567,15 @@ def select_components(
 _MODE_TOLERANCE = 1e-12
 _MODE_MAX_STEPS = 500
 _MODE_GRID_POINTS = 2048
+# The grid scan bounds the density block by block and evaluates only the
+# blocks that can hold its maximum.
+_MODE_BLOCK = 64
+# Searches per batched pass; a pass's temporaries hold at most this many
+# rows of K x _MODE_GRID_POINTS floats.
+_MODE_BATCH_ROWS = 16
+# Below the smallest normal float, exp can round densities whose logs
+# differ to one value, so block bounds cannot rule out ties there.
+_MODE_TINY = sys.float_info.min
 
 
 def conditional_mode(model: GaussianMixture, interval: tuple[float, float]) -> float:
@@ -1581,63 +1596,230 @@ def conditional_mode(model: GaussianMixture, interval: tuple[float, float]) -> f
     wins; exact ties resolve toward the lower value, so the result never
     has lower density than any grid point.
 
+    This is the one-search call of :func:`conditional_modes`.
+
     Raises:
         ValueError: the model is not 1-D, or a bad interval.
         DegenerateTruncationError: a component's box mass underflows, as
             in every density evaluation of the model.
+    """
+    (mode,) = conditional_modes([model], [interval])
+    if isinstance(mode, ValueError):
+        raise mode
+    return mode
+
+
+def conditional_modes(
+    models: Sequence[GaussianMixture], intervals: Sequence[tuple[float, float]]
+) -> list:
+    """:func:`conditional_mode` of each model on its interval, in one batch.
+
+    Returns one entry per search: the mode as a float, or the ValueError
+    (DegenerateTruncationError included) that the search raises, which
+    leaves the other searches unaffected.  Searches over models with the
+    same component count run together, _MODE_BATCH_ROWS at a time, and
+    each returns the bits it returns alone: every row does the arithmetic
+    of a lone search, and stops iterating at the step where it would.
+
+    The grid scan evaluates the density only where its maximum can be.
+    Each block of _MODE_BLOCK points gets an upper bound on its log
+    density, the log-sum-exp of every component at its nearest point of
+    the block.  The block with the highest bound is evaluated, then every
+    block whose bound, plus a margin of 1e-9 (1 + |bound|) for rounding,
+    reaches the log of the best density found.  Every other point has a
+    lower density, so the first maximum is the whole grid's.  When the
+    best density found is below the smallest normal float, the whole
+    grid is evaluated.
+    """
+    if len(models) != len(intervals):
+        raise ValueError("need one interval per model")
+    modes: list = [None] * len(models)
+    by_size: dict[int, list] = {}
+    for i, (model, interval) in enumerate(zip(models, intervals)):
+        try:
+            setup = _mode_setup(model, interval)
+        except ValueError as exc:
+            # Without its traceback, which holds this frame and so this list.
+            modes[i] = exc.with_traceback(None)
+            continue
+        by_size.setdefault(model.n_components, []).append((i, model, setup))
+    for rows in by_size.values():
+        for start in range(0, len(rows), _MODE_BATCH_ROWS):
+            chunk = rows[start : start + _MODE_BATCH_ROWS]
+            found = _batched_modes([row[1] for row in chunk], np.array([row[2] for row in chunk]))
+            for (i, _, _), mode in zip(chunk, found):
+                modes[i] = mode
+    return modes
+
+
+def _mode_setup(model: GaussianMixture, interval: tuple[float, float]) -> tuple:
+    """(lo, hi, log c, support lo, support hi) of one search.
+
+    The support is the part of the interval inside the truncation box.
+    Raises as :func:`conditional_mode`.
     """
     if model.dim != 1:
         raise ValueError("conditional_mode requires a 1-D model")
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValueError(f"interval must be finite with lo < hi, got ({lo}, {hi})")
-    # Column vectors over the components; points run along axis 1.
-    means = model.means[:, :1]
-    precisions = 1.0 / model.covariances[:, :, 0]
-    log_peaks = _log_weights(model.weights)[:, None] + 0.5 * (
+    if model.truncation is None:
+        return lo, hi, 0.0, lo, hi
+    return (
+        lo,
+        hi,
+        math.log(model.normalization()),
+        max(lo, float(model.truncation.lower[0])),
+        min(hi, float(model.truncation.upper[0])),
+    )
+
+
+class _ModeBatch:
+    """The 1-D mixtures of a batch of searches, one row each.
+
+    Parameters are (B, K, 1) columns and per-row scalars are (B, 1), so
+    against (B, P) points each row repeats a lone search's arithmetic, and
+    every sum over the components runs in component order.
+    """
+
+    def __init__(self, log_peaks, precisions, means, log_c, support_lo, support_hi):
+        self.log_peaks = log_peaks
+        self.precisions = precisions
+        self.half_precisions = 0.5 * precisions
+        self.means = means
+        self.log_c = log_c
+        self.support_lo = support_lo
+        self.support_hi = support_hi
+
+    def take(self, rows: np.ndarray) -> "_ModeBatch":
+        return _ModeBatch(
+            self.log_peaks[rows],
+            self.precisions[rows],
+            self.means[rows],
+            self.log_c[rows],
+            self.support_lo[rows],
+            self.support_hi[rows],
+        )
+
+    def log_terms(self, x: np.ndarray) -> np.ndarray:
+        """log(w_k N(x; m_k, s_k^2)), shape (B, K, P)."""
+        return self.log_peaks - self.half_precisions * (x[:, None, :] - self.means) ** 2
+
+    def responsibilities(self, x: np.ndarray) -> np.ndarray:
+        terms = self.log_terms(x)
+        return np.exp(terms - terms.max(axis=1, keepdims=True))
+
+    def log_density(self, x: np.ndarray) -> np.ndarray:
+        """Log density at x; -inf off the support."""
+        log_dens = _logsumexp_rows(self.log_terms(x)) - self.log_c
+        inside = (x >= self.support_lo) & (x <= self.support_hi)
+        return np.where(inside, log_dens, -np.inf)
+
+
+def _batched_modes(models: Sequence[GaussianMixture], setup: np.ndarray) -> list:
+    """Modes of B searches over K-component models; ``setup`` rows from :func:`_mode_setup`."""
+    lo, hi, log_c, support_lo, support_hi = setup.T
+    means = np.array([model.means[:, 0] for model in models])
+    precisions = 1.0 / np.array([model.covariances[:, 0, 0] for model in models])
+    log_peaks = _log_weights(np.array([model.weights for model in models])) + 0.5 * (
         np.log(precisions) - _LOG_2PI
     )
-    log_c = 0.0
-    support_lo, support_hi = lo, hi
-    if model.truncation is not None:
-        log_c = math.log(model.normalization())
-        support_lo = max(lo, float(model.truncation.lower[0]))
-        support_hi = min(hi, float(model.truncation.upper[0]))
-
-    def log_terms(x: np.ndarray) -> np.ndarray:
-        """log(w_k N(x; m_k, s_k^2)), one row per component."""
-        return log_peaks - 0.5 * precisions * (x - means) ** 2
-
-    def responsibilities(x: np.ndarray) -> np.ndarray:
-        terms = log_terms(x)
-        return np.exp(terms - terms.max(axis=0))
-
-    def density(x: np.ndarray) -> np.ndarray:
-        log_dens = _logsumexp_rows(log_terms(x).T) - log_c
-        return np.where((x >= support_lo) & (x <= support_hi), np.exp(log_dens), 0.0)
-
-    grid = np.linspace(lo, hi, _MODE_GRID_POINTS)
-    candidates = [grid[[int(np.argmax(density(grid)))]]]  # first max: lowest tie
-    if support_lo <= support_hi:
-        x = np.clip(np.append(means, candidates[0]), support_lo, support_hi)
-        for _ in range(_MODE_MAX_STEPS):
-            resp = responsibilities(x) * precisions
-            step = (resp * means).sum(axis=0) / resp.sum(axis=0)
-            step = np.clip(step, support_lo, support_hi)
-            settled = np.abs(step - x) <= _MODE_TOLERANCE * (1.0 + np.abs(x))
-            x = step
-            if settled.all():
-                break
+    batch = _ModeBatch(
+        log_peaks[:, :, None],
+        precisions[:, :, None],
+        means[:, :, None],
+        log_c[:, None],
+        support_lo[:, None],
+        support_hi[:, None],
+    )
+    # np.linspace(lo, hi, _MODE_GRID_POINTS), row by row.
+    count = _MODE_GRID_POINTS - 1
+    ramp = np.arange(_MODE_GRID_POINTS, dtype=float)
+    delta = hi - lo
+    step = delta / count
+    grid = ramp * step[:, None]
+    flat = step == 0
+    if flat.any():  # subnormal steps, scaled as linspace scales them
+        grid[flat] = ramp / count * delta[flat, None]
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    rows = np.arange(len(models))
+    best = grid[rows, _grid_argmax(batch, grid)]
+    modes = best.copy()
+    live = np.flatnonzero(support_lo <= support_hi)
+    if live.size:
+        batch = batch.take(live)
+        starts = np.concatenate([means[live], best[live, None]], axis=1)
+        x = _fixed_points(batch, np.clip(starts, batch.support_lo, batch.support_hi))
         # Newton on g = log density: g' = E[d], g'' = E[d^2] - g'^2 - E[1/s^2]
         # with d_k = (m_k - x) / s_k^2 and E over the responsibilities.
-        resp = responsibilities(x)
-        resp /= resp.sum(axis=0)
-        pull = (means - x) * precisions
-        slope = (resp * pull).sum(axis=0)
-        curvature = (resp * (pull * pull - precisions)).sum(axis=0) - slope * slope
+        resp = batch.responsibilities(x)
+        resp /= resp.sum(axis=1, keepdims=True)
+        pull = (batch.means - x[:, None, :]) * batch.precisions
+        slope = (resp * pull).sum(axis=1)
+        curvature = (resp * (pull * pull - batch.precisions)).sum(axis=1) - slope * slope
         concave = curvature < 0
-        polished = x[concave] - slope[concave] / curvature[concave]
-        candidates += [x, np.clip(polished, support_lo, support_hi)]
-    points = np.concatenate(candidates)
-    dens = density(points)
-    return float(points[dens == dens.max()].min())
+        # A point with no concave step stands in for itself: a duplicate
+        # changes neither the highest density nor the lowest tie.
+        polished = np.where(concave, x - slope / np.where(concave, curvature, -1.0), x)
+        points = np.concatenate(
+            [best[live, None], x, np.clip(polished, batch.support_lo, batch.support_hi)],
+            axis=1,
+        )
+        dens = np.exp(batch.log_density(points))
+        top = dens == dens.max(axis=1, keepdims=True)
+        modes[live] = np.where(top, points, np.inf).min(axis=1)
+    return modes.tolist()
+
+
+def _grid_argmax(batch: _ModeBatch, grid: np.ndarray) -> np.ndarray:
+    """np.argmax of each row's density over its grid row, from the blocks
+    that can hold the maximum (see :func:`conditional_modes`)."""
+    n_rows = grid.shape[0]
+    rows = np.arange(n_rows)
+    blocks = grid.reshape(n_rows, -1, _MODE_BLOCK)
+    nearest = np.clip(batch.means, blocks[:, None, :, 0], blocks[:, None, :, -1])
+    bound = (
+        _logsumexp_rows(
+            batch.log_peaks - batch.half_precisions * (nearest - batch.means) ** 2
+        )
+        - batch.log_c
+    )
+    density = np.zeros(blocks.shape)
+    top = bound.argmax(axis=1)
+    first = batch.log_density(blocks[rows, top])
+    density[rows, top] = np.exp(first)
+    peak = first.max(axis=1, keepdims=True)
+    needed = (bound + 1e-9 * (1.0 + np.abs(bound)) >= peak) | (np.exp(peak) < _MODE_TINY)
+    needed[rows, top] = False
+    pending_rows, pending_blocks = np.nonzero(needed)
+    if pending_rows.size:
+        density[pending_rows, pending_blocks] = np.exp(
+            batch.take(pending_rows).log_density(blocks[pending_rows, pending_blocks])
+        )
+    return density.reshape(n_rows, -1).argmax(axis=1)
+
+
+def _fixed_points(batch: _ModeBatch, x: np.ndarray) -> np.ndarray:
+    """The fixed-point iteration from the (B, S) starts ``x``.
+
+    A row stops once none of its starts moves by more than the tolerance,
+    at the step where its search alone stops, and leaves the batch.
+    """
+    out = np.empty_like(x)
+    rows = np.arange(x.shape[0])
+    for _ in range(_MODE_MAX_STEPS):
+        resp = batch.responsibilities(x) * batch.precisions
+        step = (resp * batch.means).sum(axis=1) / resp.sum(axis=1)
+        step = np.clip(step, batch.support_lo, batch.support_hi)
+        settled = (np.abs(step - x) <= _MODE_TOLERANCE * (1.0 + np.abs(x))).all(axis=1)
+        x = step
+        if settled.any():
+            out[rows[settled]] = x[settled]
+            going = ~settled
+            rows, x = rows[going], x[going]
+            if not rows.size:
+                return out
+            batch = batch.take(going)
+    out[rows] = x
+    return out

@@ -21,17 +21,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Protocol, Sequence
+from typing import Callable, Generator, NamedTuple, Optional, Protocol, Sequence
 
 from crossingsim.agents import (
     ArrivalSchedule,
+    ModeQuery,
     Pedestrian,
     StrategyDecision,
     decide_walk_speed,
     fixed_count_arrivals,
     sample_arrivals,
 )
-from crossingsim.mixture import GaussianMixture
+from crossingsim.mixture import GaussianMixture, conditional_modes
 from crossingsim.seeds import derive_seed
 
 __all__ = [
@@ -48,7 +49,14 @@ __all__ = [
 
 
 class DrivingStrategy(Protocol):
-    """Per-episode controller; instances must not be reused across episodes."""
+    """Per-episode controller; instances must not be reused across episodes.
+
+    A strategy that steers by a conditional mode may also take
+    ``defer=True`` in ``command`` and have a ``resume`` method.  The
+    engine then defers: on a step that needs a mode, ``command`` returns
+    an :class:`~crossingsim.agents.ModeQuery`, and the engine finishes
+    the step with ``resume(mode)`` once a batched search has answered it.
+    """
 
     def command(
         self,
@@ -168,6 +176,9 @@ def _lead_steps(config: SimConfig) -> int:
     return max(int(math.floor(needed)) + 1, 1)
 
 
+Episode = Generator[ModeQuery, object, EpisodeResult]
+
+
 def run_episode(
     config: SimConfig,
     strategy: DrivingStrategy,
@@ -197,6 +208,32 @@ def run_episode(
     Returns an EpisodeResult; a crash or an exceeded horizon yields a
     flagged result with no passing time rather than an exception.
     """
+    (result,) = _drive(
+        [
+            _episode(
+                config, strategy, schedule, model, walk_speed_seeds, walk_speeds,
+                record_trajectory,
+            )
+        ]
+    )
+    return result
+
+
+def _episode(
+    config: SimConfig,
+    strategy: DrivingStrategy,
+    schedule: ArrivalSchedule,
+    model: Optional[GaussianMixture],
+    walk_speed_seeds: Optional[Sequence[int]],
+    walk_speeds: Optional[Sequence[float]],
+    record_trajectory: bool,
+) -> Episode:
+    """:func:`run_episode` as a resumable episode.
+
+    It yields the :class:`ModeQuery` of every step whose decision waits on
+    a mode search, expects the search's result (the mode, or its
+    ValueError) sent back, and returns the EpisodeResult.
+    """
     n_replayed = len(walk_speeds) if walk_speeds is not None else 0
     if n_replayed < len(schedule):
         if model is None or walk_speed_seeds is None:
@@ -219,6 +256,9 @@ def run_episode(
     # Loop invariants: every step below repeats the arithmetic of
     # Pedestrian.advance, Pedestrian.past_path and detect_crash's window.
     command = strategy.command
+    resume = getattr(strategy, "resume", None)
+    if resume is not None:
+        command = partial(command, defer=True)
     n_scheduled = len(schedule)
     times = schedule.times.tolist()
     trigger_gate = config.trigger_range + 1e-12
@@ -277,7 +317,10 @@ def run_episode(
             visible = [p for p in active if p.progress <= path_edge]
         else:
             visible = []
-        acceleration, fallback = command(clock, gap, speed, visible)
+        decision = command(clock, gap, speed, visible)
+        if decision.__class__ is ModeQuery:
+            decision = resume((yield decision))
+        acceleration, fallback = decision
         if fallback:
             strategy_fallbacks += 1
 
@@ -335,6 +378,34 @@ def run_episode(
     )
 
 
+def _drive(episodes: list[Episode]) -> list[EpisodeResult]:
+    """Run episodes side by side to their results.
+
+    Each round resumes every unfinished episode up to its next mode query
+    or its end, then answers all the round's queries with one
+    :func:`~crossingsim.mixture.conditional_modes` call.
+    """
+    results: list = [None] * len(episodes)
+    answers: list = [None] * len(episodes)
+    live = range(len(episodes))
+    while live:
+        waiting, queries = [], []
+        for i in live:
+            try:
+                queries.append(episodes[i].send(answers[i]))
+            except StopIteration as done:
+                results[i] = done.value
+            else:
+                waiting.append(i)
+        modes = conditional_modes(
+            [query.model for query in queries], [query.interval for query in queries]
+        )
+        for i, mode in zip(waiting, modes):
+            answers[i] = mode
+        live = waiting
+    return results
+
+
 @dataclass
 class PairResult:
     """Candidate and baseline episodes over one pedestrian realization."""
@@ -359,34 +430,42 @@ def experiment_schedule(config: SimConfig, master_seed: int, index: int) -> Arri
     return sample_arrivals(config.arrival_rate, config.horizon, seed)
 
 
-def _run_one_pair(
+def _run_pairs(
     config: SimConfig,
     model: GaussianMixture,
     candidate_factory: Callable[[], DrivingStrategy],
     baseline_factory: Callable[[], DrivingStrategy],
     master_seed: int,
-    index: int,
-) -> PairResult:
-    schedule = experiment_schedule(config, master_seed, index)
-    walk_seeds = [
-        derive_seed(master_seed, f"walk-{index}", j) for j in range(len(schedule))
+    indices: range,
+) -> list[PairResult]:
+    """The pairs of a run of indices: every candidate episode side by side,
+    then every baseline episode, each pass with batched mode searches.
+
+    The factories are called in pair order, candidate before baseline.
+    """
+    pairs = []
+    for index in indices:
+        schedule = experiment_schedule(config, master_seed, index)
+        walk_seeds = [
+            derive_seed(master_seed, f"walk-{index}", j) for j in range(len(schedule))
+        ]
+        pairs.append((schedule, walk_seeds, candidate_factory(), baseline_factory()))
+    candidates = _drive(
+        [
+            _episode(config, candidate, schedule, model, walk_seeds, None, False)
+            for schedule, walk_seeds, candidate, _ in pairs
+        ]
+    )
+    baselines = _drive(
+        [
+            _episode(config, baseline, schedule, model, walk_seeds, done.walk_speeds, False)
+            for (schedule, walk_seeds, _, baseline), done in zip(pairs, candidates)
+        ]
+    )
+    return [
+        PairResult(index=index, candidate=candidate, baseline=baseline)
+        for index, candidate, baseline in zip(indices, candidates, baselines)
     ]
-    candidate = run_episode(
-        config,
-        candidate_factory(),
-        schedule,
-        model=model,
-        walk_speed_seeds=walk_seeds,
-    )
-    baseline = run_episode(
-        config,
-        baseline_factory(),
-        schedule,
-        model=model,
-        walk_speed_seeds=walk_seeds,
-        walk_speeds=candidate.walk_speeds,
-    )
-    return PairResult(index=index, candidate=candidate, baseline=baseline)
 
 
 def run_paired_experiments(
@@ -401,29 +480,32 @@ def run_paired_experiments(
     """Run candidate/baseline episode pairs over shared realizations.
 
     Factories build a fresh strategy per episode.  Every experiment's
-    seeds derive from (master_seed, purpose, index) alone, so results
-    are identical for any ``parallel`` level; workers only change how
-    the index set is partitioned.  Results come back ordered by index.
+    seeds derive from (master_seed, purpose, index) alone, and an
+    episode's steps never depend on the episodes run beside it, so
+    results are identical for any ``parallel`` level; workers only change
+    how the index set is partitioned.  A serial run drives all pairs as
+    one chunk; each worker drives its own chunks.  Results come back
+    ordered by index.
     """
     if n_experiments < 1:
         raise ValueError("n_experiments must be >= 1")
     if parallel < 1:
         raise ValueError("parallel must be >= 1")
     runner = partial(
-        _run_one_pair,
+        _run_pairs,
         config,
         model,
         candidate_factory,
         baseline_factory,
         master_seed,
     )
-    indices = range(n_experiments)
     if parallel == 1:
-        return [runner(i) for i in indices]
+        return runner(range(n_experiments))
     # Imported here: the process pool loads multiprocessing, which no
     # serial run needs.
     from concurrent.futures import ProcessPoolExecutor
 
+    size = max(1, n_experiments // (4 * parallel))
+    chunks = [range(i, min(i + size, n_experiments)) for i in range(0, n_experiments, size)]
     with ProcessPoolExecutor(max_workers=parallel) as pool:
-        chunk = max(1, n_experiments // (4 * parallel))
-        return list(pool.map(runner, indices, chunksize=chunk))
+        return [pair for chunk in pool.map(runner, chunks) for pair in chunk]

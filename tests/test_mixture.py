@@ -101,6 +101,24 @@ class TestTruncationBox:
         one = TruncationBox(np.array([0.0]), np.array([np.inf]))
         assert one == TruncationBox(np.array([0.0]), np.array([np.inf]))
 
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_equality_compares_bounds(self, dim):
+        box = TruncationBox.positive_orthant(dim)
+        assert box == TruncationBox(np.zeros(dim), np.full(dim, np.inf))
+        assert not box != TruncationBox.positive_orthant(dim)
+        upper = np.full(dim, np.inf)
+        upper[-1] = 5.0
+        assert box != TruncationBox(np.zeros(dim), upper)
+        assert box != TruncationBox.positive_orthant(dim + 1)
+        assert box != None  # noqa: E711 (a box is never equal to None)
+        model = GaussianMixture(np.array([1.0]), np.ones((1, dim)), np.eye(dim)[None], box)
+        same = GaussianMixture(np.array([1.0]), np.ones((1, dim)), np.eye(dim)[None], box)
+        cut = GaussianMixture(
+            np.array([1.0]), np.ones((1, dim)), np.eye(dim)[None], TruncationBox(np.zeros(dim), upper)
+        )
+        open_ = GaussianMixture(np.array([1.0]), np.ones((1, dim)), np.eye(dim)[None])
+        assert model == same and model != cut and model != open_ and open_ != model
+
 
 class TestTruncatedMomentsExact:
     def test_half_normal_frozen_values(self):

@@ -14,7 +14,9 @@ from crossingsim.agents import (
     SoftYieldStrategy,
     StrategyDecision,
 )
+from crossingsim.ingest import reference_generator
 from crossingsim.mixture import GaussianMixture, TruncationBox
+from crossingsim.seeds import derive_seed
 from crossingsim.sim import (
     EpisodeResult,
     PairResult,
@@ -341,6 +343,52 @@ class TestPairedExperiments:
             run_paired_experiments(SimConfig(), model, candidate, baseline, 0, 1)
         with pytest.raises(ValueError):
             run_paired_experiments(SimConfig(), model, candidate, baseline, 1, 1, parallel=0)
+
+
+def pair_by_pair(config, model, candidate_factory, baseline_factory, n, master_seed):
+    """Each pair as two run_episode calls, one search at a time."""
+    pairs = []
+    for index in range(n):
+        schedule = experiment_schedule(config, master_seed, index)
+        seeds = [derive_seed(master_seed, f"walk-{index}", j) for j in range(len(schedule))]
+        candidate = run_episode(
+            config, candidate_factory(), schedule, model=model, walk_speed_seeds=seeds
+        )
+        baseline = run_episode(
+            config, baseline_factory(), schedule, model=model, walk_speed_seeds=seeds,
+            walk_speeds=candidate.walk_speeds,
+        )
+        pairs.append(PairResult(index=index, candidate=candidate, baseline=baseline))
+    return pairs
+
+
+class TestBatchedEngine:
+    """run_paired_experiments batches the pairs' mode searches; the pairs
+    must equal those of running each episode on its own."""
+
+    @pytest.fixture(scope="class")
+    def reference_model(self):
+        return reference_generator()
+
+    @pytest.fixture(scope="class")
+    def one_by_one(self, reference_model):
+        candidate, baseline = paired_factories(reference_model)
+        return pair_by_pair(SimConfig(), reference_model, candidate, baseline, 200, 10004)
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_equals_pair_by_pair(self, reference_model, one_by_one, parallel):
+        candidate, baseline = paired_factories(reference_model)
+        pairs = run_paired_experiments(
+            SimConfig(), reference_model, candidate, baseline, 200, 10004, parallel=parallel
+        )
+        assert pairs == one_by_one
+        assert sum(p.baseline.strategy_fallbacks for p in pairs) > 0
+
+    def test_human_candidate_is_batched_too(self, reference_model):
+        # What agents.av_strategy = "human" builds: HumanDriver on both sides.
+        _, human = paired_factories(reference_model)
+        pairs = run_paired_experiments(SimConfig(), reference_model, human, human, 200, 10004)
+        assert pairs == pair_by_pair(SimConfig(), reference_model, human, human, 200, 10004)
 
 
 class TestPairResult:

@@ -6,12 +6,7 @@ reactive pedestrians, and scores automated passing strategies against a
 mixture-derived human-driver baseline.
 """
 
-from crossingsim.scenario import (
-    Kinematics,
-    ObservationVector,
-    time_advantage,
-    to_observation,
-)
+from crossingsim.scenario import Kinematics, time_advantage
 from crossingsim.mixture import (
     Conditioner,
     FitConfig,
@@ -51,9 +46,7 @@ from crossingsim.ingest import (
 
 __all__ = [
     "Kinematics",
-    "ObservationVector",
     "time_advantage",
-    "to_observation",
     "GaussianComponent",
     "GaussianMixture",
     "TruncationBox",

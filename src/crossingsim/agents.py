@@ -374,6 +374,11 @@ class SoftYieldStrategy:
     new pedestrian with a smaller time advantage arrives before the
     braking phase has elapsed; otherwise the committed profile persists
     (brake for the committed duration, then coast).
+
+    Once a call finds the braking phase of a taken plan over, no later
+    pedestrian can revise it, so every later call (at a clock no earlier)
+    coasts.  That call sets ``settled``, and the episode engine stops
+    consulting the strategy from then on.
     """
 
     def __init__(self, params: SoftYieldParams, crossing_length: float) -> None:
@@ -385,6 +390,7 @@ class SoftYieldStrategy:
         self._governing: Optional[Pedestrian] = None
         self._seen: set[float] = set()
         self._brake = _COAST  # the committed plan's braking-phase command
+        self.settled = False
 
     def _maybe_decide(
         self,
@@ -436,12 +442,16 @@ class SoftYieldStrategy:
             if new:
                 seen.update(p.arrival_time for p in new)
                 fresh = self._maybe_decide(clock, longitudinal_gap, vehicle_speed, new)
+        elapsed = clock - self.decision_time
         decision = _COAST  # so is _brake until a plan is taken
-        if clock - self.decision_time < self.plan.brake_duration:
+        if elapsed < self.plan.brake_duration:
             decision = self._brake
         if fresh and self.plan.full_stop:
             # Flag the fallback once, on the step the plan is committed.
             return decision._replace(fallback=True)
+        if self.decision_taken and elapsed >= self.plan.brake_duration:
+            # _maybe_decide's test: from here on it takes no new plan.
+            self.settled = True
         return decision
 
 

@@ -100,7 +100,7 @@ class TruncationBox:
 
     lower: np.ndarray
     upper: np.ndarray
-    # (column, bound) of every finite bound, for _inside.
+    # (column, bound) of every finite bound, for contains and _inside.
     _finite_lower: tuple = field(init=False, repr=False, compare=False)
     _finite_upper: tuple = field(init=False, repr=False, compare=False)
 
@@ -142,13 +142,20 @@ class TruncationBox:
         return bool(np.isneginf(self.lower).all() and np.isposinf(self.upper).all())
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean inclusion test; accepts one point or a stack of rows."""
+        """Boolean inclusion test; accepts one point or a stack of rows.
+
+        A point with a NaN coordinate lies in no box.
+        """
         pts = np.asarray(points, dtype=float)
         squeeze = pts.ndim == 1
         pts = np.atleast_2d(pts)
         if pts.shape[1] != self.dim:
             raise ValueError(f"points have dimension {pts.shape[1]}, box has {self.dim}")
-        inside = ((pts >= self.lower) & (pts <= self.upper)).all(axis=1)
+        inside = (pts == pts).all(axis=1)  # False for a row holding a NaN
+        for i, bound in self._finite_lower:
+            inside &= pts[:, i] >= bound
+        for i, bound in self._finite_upper:
+            inside &= pts[:, i] <= bound
         return bool(inside[0]) if squeeze else inside
 
     def sliced(self, dims: Sequence[int]) -> "TruncationBox":

@@ -1,4 +1,4 @@
-"""Passing-event geometry and observation-space transforms.
+"""Passing-event geometry and the layout of model space.
 
 A passing event is described in a perpendicular straight-line frame: the
 crossing line sits at longitudinal coordinate 0 and the vehicle path at
@@ -17,13 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "Kinematics",
-    "ObservationVector",
     "time_advantage",
-    "to_observation",
     "OBS_DIM",
     "OBS_INV_RANGE",
     "OBS_VEHICLE_SPEED",
@@ -73,29 +69,6 @@ class Kinematics:
             raise ValueError(f"walk_speed must be >= 0, got {self.walk_speed}")
 
 
-@dataclass(frozen=True)
-class ObservationVector:
-    """One row of model space: (1/R, v, v_p, 1/T_Adv), all positive and finite."""
-
-    inv_range: float
-    vehicle_speed: float
-    walk_speed: float
-    inv_time_advantage: float
-
-    def __post_init__(self) -> None:
-        for name in ("inv_range", "vehicle_speed", "walk_speed", "inv_time_advantage"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-    def as_array(self) -> np.ndarray:
-        """Return the observation as a length-4 float array in canonical order."""
-        return np.array(
-            [self.inv_range, self.vehicle_speed, self.walk_speed, self.inv_time_advantage],
-            dtype=float,
-        )
-
-
 def time_advantage(kin: Kinematics) -> float:
     """Absolute gap between vehicle and pedestrian arrival times at the conflict point.
 
@@ -115,26 +88,3 @@ def time_advantage(kin: Kinematics) -> float:
     ttc = kin.longitudinal_gap / kin.vehicle_speed
     return abs(ttc - kin.lateral_gap / kin.walk_speed)
 
-
-def to_observation(kin: Kinematics) -> ObservationVector:
-    """Map a kinematic state to model space.
-
-    Rejects states whose observation is undefined: nonpositive range,
-    vehicle speed, or walk speed, and zero time advantage (an exact
-    arrival tie has no finite inverse).
-    """
-    if kin.longitudinal_gap <= 0:
-        raise ValueError(f"range must be positive, got {kin.longitudinal_gap}")
-    if kin.vehicle_speed <= 0:
-        raise ValueError(f"vehicle speed must be positive, got {kin.vehicle_speed}")
-    if kin.walk_speed <= 0:
-        raise ValueError(f"walk speed must be positive, got {kin.walk_speed}")
-    adv = time_advantage(kin)
-    if adv == 0.0:
-        raise ValueError("time advantage is zero; observation undefined")
-    return ObservationVector(
-        inv_range=1.0 / kin.longitudinal_gap,
-        vehicle_speed=kin.vehicle_speed,
-        walk_speed=kin.walk_speed,
-        inv_time_advantage=1.0 / adv,
-    )

@@ -51,6 +51,13 @@ __all__ = [
 class DrivingStrategy(Protocol):
     """Per-episode controller; instances must not be reused across episodes.
 
+    The engine calls ``command`` once per step until the strategy settles.
+    A strategy may have a ``settled`` attribute, and may set it true only
+    after a ``command`` call whose decision it would return again for
+    every later clock, whatever pedestrians it is shown.  From then on the
+    engine applies that decision, fallback flag included, on every
+    remaining step without calling ``command``.
+
     A strategy that steers by a conditional mode may also take
     ``defer=True`` in ``command`` and have a ``resume`` method.  The
     engine then defers: on a step that needs a mode, ``command`` returns
@@ -259,6 +266,8 @@ def _episode(
     resume = getattr(strategy, "resume", None)
     if resume is not None:
         command = partial(command, defer=True)
+    settles = hasattr(strategy, "settled")
+    settled = False
     n_scheduled = len(schedule)
     times = schedule.times.tolist()
     trigger_gate = config.trigger_range + 1e-12
@@ -290,9 +299,9 @@ def _episode(
             while spawned < n_scheduled and times[spawned] <= rel + 1e-12:
                 if spawned < n_replayed:
                     speed_choice = float(walk_speeds[spawned])
-                    fallback = False
+                    speed_fallback = False
                 else:
-                    speed_choice, fallback = decide_walk_speed(
+                    speed_choice, speed_fallback = decide_walk_speed(
                         model,
                         vehicle_range=gap,
                         vehicle_speed=speed,
@@ -310,17 +319,20 @@ def _episode(
                 active.append(ped)
                 spawn_order[id(ped)] = spawned
                 decided_speeds.append(speed_choice)
-                decided_fallbacks.append(fallback)
+                decided_fallbacks.append(speed_fallback)
                 spawned += 1
 
-        if active and gap <= detection_range:
-            visible = [p for p in active if p.progress <= path_edge]
-        else:
-            visible = []
-        decision = command(clock, gap, speed, visible)
-        if decision.__class__ is ModeQuery:
-            decision = resume((yield decision))
-        acceleration, fallback = decision
+        if not settled:
+            if active and gap <= detection_range:
+                visible = [p for p in active if p.progress <= path_edge]
+            else:
+                visible = []
+            decision = command(clock, gap, speed, visible)
+            if decision.__class__ is ModeQuery:
+                decision = resume((yield decision))
+            acceleration, fallback = decision
+            # A settled strategy returns this decision on every later step.
+            settled = settles and strategy.settled
         if fallback:
             strategy_fallbacks += 1
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from crossingsim.agents import (
     ArrivalSchedule,
@@ -14,6 +15,7 @@ from crossingsim.agents import (
     Pedestrian,
     SoftYieldParams,
     SoftYieldStrategy,
+    StrategyDecision,
     decide_walk_speed,
     fixed_count_arrivals,
     sample_arrivals,
@@ -349,6 +351,52 @@ class TestSoftYieldStrategy:
         flags = [strat.command(0.05 * i, 30.0, 5.0, [walker]).fallback for i in range(40)]
         assert flags[0] is True
         assert not any(flags[1:])
+
+    def test_settles_once_the_braking_phase_is_over(self):
+        strat = self.strategy()
+        walker = ped(1.2)
+        strat.command(0.0, 40.0, 5.0, [])
+        assert not strat.settled  # no plan yet
+        strat.command(0.0, 30.0, 5.0, [walker])
+        t1 = strat.plan.brake_duration
+        strat.command(t1 / 2.0, 20.0, 4.0, [walker])
+        assert not strat.settled  # braking
+        assert strat.command(t1, 15.0, 3.5, [walker]) == StrategyDecision(0.0)
+        assert strat.settled
+
+    @given(
+        walk=st.floats(0.3, 3.0),
+        steps=st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),  # clock increment
+                st.floats(-5.0, 60.0),  # longitudinal gap
+                st.floats(0.0, 8.0),  # vehicle speed
+                st.floats(0.3, 3.0),  # newcomer's walk speed
+                st.floats(0.0, 9.0),  # newcomer's progress
+                st.booleans(),  # newcomer ties the vehicle: time advantage 0
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_a_settled_strategy_only_coasts(self, walk, steps):
+        strat = self.strategy()
+        shown = [ped(walk)]
+        strat.command(0.0, 30.0, 5.0, shown)
+        clock = 0.0
+        for index, (step, gap, speed, walk_new, progress, tie) in enumerate(steps, 1):
+            if strat.settled:
+                assert strat.command(clock, gap, speed, shown) == StrategyDecision(0.0, False)
+                assert strat.settled
+            else:
+                strat.command(clock, gap, speed, shown)
+                if clock - strat.decision_time < strat.plan.brake_duration:
+                    assert not strat.settled
+            clock += step
+            if tie and gap > 0 and speed > 0:
+                # Reaches the vehicle path as the vehicle reaches the line.
+                progress, walk_new = 0.0, max(4.5 * speed / gap, 1e-3)
+            shown = shown + [ped(walk_new, arrival_time=float(index), progress=progress)]
 
 
 class TestHumanDriverParams:

@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from crossingsim.agents import (
     ArrivalSchedule,
@@ -162,6 +163,50 @@ def test_episodes_match_the_recording():
     for name in built:
         assert built[name] == corpus["cases"][name], name
     assert set(built) == set(corpus["cases"])
+
+
+class Unsettled:
+    """Pass-through strategy without ``settled``: the engine consults it every step."""
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+
+    def command(self, *args):
+        return self.strategy.command(*args)
+
+
+def soft_yield_runs(config: SimConfig, master: int, n: int):
+    """Each soft-yield episode of a paired run, run directly and through
+    :class:`Unsettled`, with trajectories; yields (direct, wrapped, strategy)."""
+    model = reference_generator()
+    for index in range(n):
+        schedule = experiment_schedule(config, master, index)
+        seeds = [derive_seed(master, f"walk-{index}", j) for j in range(len(schedule))]
+        strategy = SoftYieldStrategy(SoftYieldParams(), config.crossing_length)
+        hidden = Unsettled(SoftYieldStrategy(SoftYieldParams(), config.crossing_length))
+        direct, wrapped = (
+            run_episode(
+                config, driver, schedule, model=model, walk_speed_seeds=seeds,
+                record_trajectory=True,
+            )
+            for driver in (strategy, hidden)
+        )
+        yield direct, wrapped, strategy
+
+
+@pytest.mark.parametrize(
+    "config, master, n",
+    [(SimConfig(**case["sim"]), case["master_seed"], case["n"]) for case in PAIRED_CASES.values()]
+    + [(SimConfig(), 10004, 200)],
+    ids=list(PAIRED_CASES) + ["evaluate-200"],
+)
+def test_a_settled_strategy_changes_no_result(config, master, n):
+    settled = 0
+    for direct, wrapped, strategy in soft_yield_runs(config, master, n):
+        assert direct == wrapped
+        assert _fields(direct) == _fields(wrapped)  # bit for bit
+        settled += strategy.settled
+    assert settled
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp, ndtr
 from scipy.stats import multivariate_normal, norm, truncnorm
@@ -98,6 +99,26 @@ class TestTruncationBox:
         shown = [f.name for f in dataclasses.fields(box) if f.repr or f.compare]
         assert shown == ["lower", "upper"]
         assert repr(box) == f"TruncationBox(lower={box.lower!r}, upper={box.upper!r})"
+
+    @given(data=st.data())
+    def test_contains_is_the_plain_box_test(self, data):
+        dim = data.draw(st.integers(1, 4))
+        lower, upper, values = [], [], [math.nan, math.inf, -math.inf, 0.0, -0.0]
+        for _ in range(dim):
+            a = data.draw(st.floats(-10.0, 10.0))
+            b = a + data.draw(st.floats(1e-3, 10.0))
+            lower.append(data.draw(st.sampled_from([a, -math.inf])))
+            upper.append(data.draw(st.sampled_from([b, math.inf])))
+            values += [a, b]
+        box = TruncationBox(np.array(lower), np.array(upper))
+        coordinate = st.one_of(st.floats(-25.0, 25.0), st.sampled_from(values))
+        rows = data.draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), max_size=8))
+        points = np.array(rows, dtype=float).reshape(len(rows), dim)
+        expected = ((points >= box.lower) & (points <= box.upper)).all(axis=1)
+        np.testing.assert_array_equal(box.contains(points), expected)
+        assert [box.contains(row) for row in points] == expected.tolist()
+        finite = np.isfinite(points).all(axis=1)
+        np.testing.assert_array_equal(mixture._inside(box, points[finite]), expected[finite])
         one = TruncationBox(np.array([0.0]), np.array([np.inf]))
         assert one == TruncationBox(np.array([0.0]), np.array([np.inf]))
 

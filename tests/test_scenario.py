@@ -1,10 +1,8 @@
-"""Geometry frame, observation transform, and their edge cases."""
+"""Geometry frame, model-space layout, and their edge cases."""
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from crossingsim.scenario import (
     Kinematics,
@@ -14,9 +12,7 @@ from crossingsim.scenario import (
     OBS_INV_TIME_ADVANTAGE,
     OBS_VEHICLE_SPEED,
     OBS_WALK_SPEED,
-    ObservationVector,
     time_advantage,
-    to_observation,
 )
 
 
@@ -48,7 +44,7 @@ class TestKinematics:
             Kinematics(math.nan, 1.0, 5.0, 1.5)
 
     def test_negative_longitudinal_gap_allowed(self):
-        # The vehicle can be past the line; only the transform rejects it.
+        # The vehicle can be past the line.
         kin = Kinematics(-3.0, 1.0, 5.0, 1.5)
         assert kin.longitudinal_gap == -3.0
 
@@ -74,55 +70,3 @@ class TestTimeAdvantage:
     def test_convention_is_distance_over_speed(self):
         kin = Kinematics(12.0, 3.0, 4.0, 1.0)
         assert time_advantage(kin) == pytest.approx(abs(12.0 / 4.0 - 3.0 / 1.0))
-
-
-class TestObservationVector:
-    def test_requires_strictly_positive_entries(self):
-        with pytest.raises(ValueError):
-            ObservationVector(0.0, 5.0, 1.5, 0.3)
-        with pytest.raises(ValueError):
-            ObservationVector(0.1, 5.0, 1.5, math.inf)
-
-    def test_as_array_order(self):
-        obs = ObservationVector(0.1, 5.0, 1.5, 0.3)
-        np.testing.assert_allclose(obs.as_array(), [0.1, 5.0, 1.5, 0.3])
-
-
-class TestToObservation:
-    def test_hand_value(self):
-        obs = to_observation(Kinematics(30.0, 4.5, 5.0, 1.5))
-        assert obs.inv_range == pytest.approx(1.0 / 30.0)
-        assert obs.vehicle_speed == 5.0
-        assert obs.walk_speed == 1.5
-        assert obs.inv_time_advantage == pytest.approx(1.0 / 3.0)
-
-    @pytest.mark.parametrize(
-        "kin",
-        [
-            Kinematics(0.0, 4.5, 5.0, 1.5),  # at the line
-            Kinematics(-1.0, 4.5, 5.0, 1.5),  # past the line
-            Kinematics(30.0, 4.5, 0.0, 1.5),  # stopped vehicle
-            Kinematics(30.0, 4.5, 5.0, 0.0),  # standing pedestrian
-            Kinematics(30.0, 9.0, 5.0, 1.5),  # exact tie: 6 s = 6 s
-        ],
-    )
-    def test_undefined_states_rejected(self, kin):
-        with pytest.raises(ValueError):
-            to_observation(kin)
-
-    @given(
-        gap=st.floats(0.5, 200.0),
-        lateral=st.floats(0.1, 10.0),
-        speed=st.floats(0.5, 20.0),
-        walk=st.floats(0.3, 3.0),
-    )
-    def test_fields_encode_everything_but_lateral(self, gap, lateral, speed, walk):
-        kin = Kinematics(gap, lateral, speed, walk)
-        try:
-            obs = to_observation(kin)
-        except ValueError:
-            return  # exact arrival ties are rejected by contract
-        assert obs.inv_range == pytest.approx(1.0 / gap, rel=1e-12)
-        assert obs.vehicle_speed == speed
-        assert obs.walk_speed == walk
-        assert obs.inv_time_advantage == pytest.approx(1.0 / time_advantage(kin), rel=1e-12)

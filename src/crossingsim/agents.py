@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from crossingsim.mixture import GaussianMixture, conditional_modes
+from crossingsim.mixture import GaussianMixture
 from crossingsim.scenario import (
     Kinematics,
     OBS_INV_RANGE,
@@ -257,10 +257,9 @@ _COAST = StrategyDecision(0.0)
 class ModeQuery(NamedTuple):
     """A strategy's request for the mode of a 1-D conditional on an interval.
 
-    A strategy that can defer returns one from ``command(..., defer=True)``
-    in place of its decision.  The caller answers with the strategy's
-    ``resume``, passing what :func:`~crossingsim.mixture.conditional_modes`
-    returned for the query: the mode, or the ValueError of the search.
+    A strategy's ``command`` returns one in place of its decision.  The
+    episode engine runs the search and answers with the strategy's
+    ``resume``, passing the mode or the ValueError of the search.
     """
 
     model: GaussianMixture
@@ -488,10 +487,8 @@ class HumanDriver:
     unavailable (stopped vehicle, zero time advantage, singular observed
     block) the driver holds its speed and flags the decision.
 
-    An update runs in two steps: conditioning yields the mode query, and
-    the mode (or the search's error) yields the decision.  ``command``
-    runs both unless asked to ``defer``; the episode engine defers, so
-    that it can answer the queries of many episodes in one batched search.
+    An update that needs a mode returns its :class:`ModeQuery` from
+    ``command``, and ``resume`` turns the search's answer into the decision.
     """
 
     def __init__(self, model: GaussianMixture, params: HumanDriverParams) -> None:
@@ -520,37 +517,6 @@ class HumanDriver:
             hi = lo + 1.0
         return lo, hi
 
-    def _query(
-        self,
-        longitudinal_gap: float,
-        vehicle_speed: float,
-        pedestrians: Sequence[Pedestrian],
-    ):
-        """Condition on the governing pedestrian: the mode search this update
-        needs, the error that stopped the conditioning, or None when no
-        pedestrian governs."""
-        governing = select_governing(longitudinal_gap, vehicle_speed, pedestrians)
-        if governing is None:
-            return None
-        try:
-            adv = time_advantage(
-                Kinematics(
-                    longitudinal_gap=longitudinal_gap,
-                    lateral_gap=governing.lateral_gap,
-                    vehicle_speed=vehicle_speed,
-                    walk_speed=governing.walk_speed,
-                )
-            )
-            if adv == 0.0:
-                raise ValueError("zero time advantage")
-            conditional = self.model.condition(
-                [OBS_INV_RANGE, OBS_WALK_SPEED, OBS_INV_TIME_ADVANTAGE],
-                [1.0 / longitudinal_gap, governing.walk_speed, 1.0 / adv],
-            )
-        except (ValueError, ZeroDivisionError) as exc:  # ConditioningError included
-            return exc
-        return ModeQuery(conditional, self._search)
-
     def _recompute(self, vehicle_speed: float, desired) -> StrategyDecision:
         """The update's decision from the desired speed, the error that
         stopped the update, or None when no pedestrian governs."""
@@ -575,24 +541,39 @@ class HumanDriver:
         longitudinal_gap: float,
         vehicle_speed: float,
         pedestrians: Sequence[Pedestrian],
-        defer: bool = False,
     ) -> StrategyDecision | ModeQuery:
-        """This step's decision.  With ``defer``, an update that needs a mode
-        search returns its :class:`ModeQuery` instead, for :meth:`resume`."""
+        """This step's decision, or the :class:`ModeQuery` of an update that
+        needs a mode search, for :meth:`resume`."""
         if clock + 1e-9 < self._next_update:
             # Held commands never repeat a failed update's flag.
             return self._hold(vehicle_speed, False)
         self._next_update += self.update_interval
         self._speed = vehicle_speed
-        query = self._query(longitudinal_gap, vehicle_speed, pedestrians)
-        if isinstance(query, ModeQuery):
-            if defer:
-                return query
-            (query,) = conditional_modes([query.model], [query.interval])
-        return self.resume(query)
+        governing = select_governing(longitudinal_gap, vehicle_speed, pedestrians)
+        if governing is None:
+            return self.resume(None)
+        try:
+            adv = time_advantage(
+                Kinematics(
+                    longitudinal_gap=longitudinal_gap,
+                    lateral_gap=governing.lateral_gap,
+                    vehicle_speed=vehicle_speed,
+                    walk_speed=governing.walk_speed,
+                )
+            )
+            if adv == 0.0:
+                raise ValueError("zero time advantage")
+            conditional = self.model.condition(
+                [OBS_INV_RANGE, OBS_WALK_SPEED, OBS_INV_TIME_ADVANTAGE],
+                [1.0 / longitudinal_gap, governing.walk_speed, 1.0 / adv],
+            )
+        except (ValueError, ZeroDivisionError) as exc:  # ConditioningError included
+            return self.resume(exc)
+        return ModeQuery(conditional, self._search)
 
     def resume(self, desired) -> StrategyDecision:
-        """Finish the pending update with the mode (or the search's error)."""
+        """Finish the pending update with the mode, the error that stopped
+        it, or None when no pedestrian governs."""
         self._held, fallback = self._recompute(self._speed, desired)
         return self._hold(self._speed, fallback)
 

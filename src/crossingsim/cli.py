@@ -213,6 +213,8 @@ def _parse_assignments(items: Sequence[str]) -> tuple[list[int], list[float]]:
             dims[idx] = float(value)
         except ValueError as exc:
             raise UsageError(f"bad value in {item!r}: {exc}") from exc
+        if not np.isfinite(dims[idx]):
+            raise UsageError(f"value in {item!r} is not finite")
     ordered = sorted(dims)
     return ordered, [dims[i] for i in ordered]
 
@@ -239,6 +241,13 @@ def cmd_condition(config: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError(f"model has dimension {model.dim}; assignment out of range")
     if free_idx >= model.dim:
         raise UsageError(f"model has dimension {model.dim}; --free {free_name} out of range")
+    box = model.truncation
+    for idx, value in zip(obs_dims, values):
+        if box is not None and not box.lower[idx] <= value <= box.upper[idx]:
+            raise UsageError(
+                f"{OBS_COLUMNS[idx]}={value!r} lies outside the model's truncation box "
+                f"[{box.lower[idx]:g}, {box.upper[idx]:g}]"
+            )
 
     curve = model.condition(obs_dims, values, [free_idx])
 

@@ -58,11 +58,11 @@ class DrivingStrategy(Protocol):
     engine applies that decision, fallback flag included, on every
     remaining step without calling ``command``.
 
-    A strategy that steers by a conditional mode may also take
-    ``defer=True`` in ``command`` and have a ``resume`` method.  The
-    engine then defers: on a step that needs a mode, ``command`` returns
-    an :class:`~crossingsim.agents.ModeQuery`, and the engine finishes
-    the step with ``resume(mode)`` once a batched search has answered it.
+    ``command`` returns a :class:`~crossingsim.agents.StrategyDecision`,
+    or, on a step whose decision needs a conditional mode, an
+    :class:`~crossingsim.agents.ModeQuery`.  A strategy that returns a
+    query has a ``resume`` method: the engine finishes the step with
+    ``resume(mode)`` once a batched search has answered the query.
     """
 
     def command(
@@ -71,7 +71,7 @@ class DrivingStrategy(Protocol):
         longitudinal_gap: float,
         vehicle_speed: float,
         pedestrians: Sequence[Pedestrian],
-    ) -> StrategyDecision: ...
+    ) -> StrategyDecision | ModeQuery: ...
 
 
 @dataclass(frozen=True)
@@ -263,9 +263,6 @@ def _episode(
     # Loop invariants: every step below repeats the arithmetic of
     # Pedestrian.advance, Pedestrian.past_path and detect_crash's window.
     command = strategy.command
-    resume = getattr(strategy, "resume", None)
-    if resume is not None:
-        command = partial(command, defer=True)
     settles = hasattr(strategy, "settled")
     settled = False
     n_scheduled = len(schedule)
@@ -329,7 +326,7 @@ def _episode(
                 visible = []
             decision = command(clock, gap, speed, visible)
             if decision.__class__ is ModeQuery:
-                decision = resume((yield decision))
+                decision = strategy.resume((yield decision))
             acceleration, fallback = decision
             # A settled strategy returns this decision on every later step.
             settled = settles and strategy.settled

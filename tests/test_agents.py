@@ -12,6 +12,7 @@ from crossingsim.agents import (
     ArrivalSchedule,
     HumanDriver,
     HumanDriverParams,
+    ModeQuery,
     Pedestrian,
     SoftYieldParams,
     SoftYieldStrategy,
@@ -23,7 +24,7 @@ from crossingsim.agents import (
     soft_yield_decide,
 )
 from crossingsim.ingest import reference_generator
-from crossingsim.mixture import GaussianMixture, TruncationBox
+from crossingsim.mixture import GaussianMixture, TruncationBox, conditional_modes
 from crossingsim.sim import SimConfig, run_paired_experiments
 
 
@@ -409,9 +410,35 @@ class TestHumanDriverParams:
             HumanDriverParams(free_flow_speed=0.0)
 
 
+def answered(driver, decision):
+    """The step's decision, after answering a mode query as the engine does."""
+    if isinstance(decision, ModeQuery):
+        (mode,) = conditional_modes([decision.model], [decision.interval])
+        return driver.resume(mode)
+    return decision
+
+
 class TestHumanDriver:
     def driver(self, **kwargs):
         return HumanDriver(diagonal_model(), HumanDriverParams(**kwargs))
+
+    def test_queries_exactly_the_updates_that_search(self):
+        drv = self.driver()
+        # An update with a governing pedestrian and a defined conditional.
+        query = drv.command(0.0, 20.0, 3.0, [ped(1.5)])
+        assert isinstance(query, ModeQuery)
+        assert query.model.dim == 1
+        assert isinstance(answered(drv, query), StrategyDecision)
+        # Held step, recovery with nobody to react to, and the two
+        # conditioning failures: each is decided without a search.
+        tie = ped(1.5, crossing_length=18.0)
+        for clock, gap, speed, walkers in [
+            (0.5, 20.0, 3.0, [ped(1.5)]),
+            (1.0, 40.0, 2.0, []),
+            (2.0, 30.0, 5.0, [tie]),
+            (3.0, 30.0, 0.0, [ped(1.5)]),
+        ]:
+            assert isinstance(drv.command(clock, gap, speed, walkers), StrategyDecision)
 
     def test_requires_four_dimensional_model(self):
         with pytest.raises(ValueError):
@@ -439,21 +466,21 @@ class TestHumanDriver:
         # Independent coordinates: the desired speed is the v marginal's
         # mode regardless of the pedestrian, so accel = (5 - v)/interval.
         drv = self.driver()
-        out = drv.command(0.0, 20.0, 3.0, [ped(1.5)])
+        out = answered(drv, drv.command(0.0, 20.0, 3.0, [ped(1.5)]))
         assert out.acceleration == pytest.approx(2.0, abs=1e-6)
 
     def test_acceleration_clamped(self):
         drv = self.driver(max_acceleration=1.5)
-        out = drv.command(0.0, 20.0, 1.0, [ped(1.5)])
+        out = answered(drv, drv.command(0.0, 20.0, 1.0, [ped(1.5)]))
         assert out.acceleration == 1.5
 
     def test_holds_between_updates(self):
         drv = self.driver(update_interval=1.0)
-        first = drv.command(0.0, 20.0, 3.0, [ped(1.5)])
+        first = answered(drv, drv.command(0.0, 20.0, 3.0, [ped(1.5)]))
         # Mid-interval call with a very different world: held verbatim.
         mid = drv.command(0.4, 5.0, 1.0, [ped(0.5, progress=2.0)])
         assert mid.acceleration == first.acceleration
-        nxt = drv.command(1.0, 5.0, 1.0, [ped(0.5, progress=2.0)])
+        nxt = answered(drv, drv.command(1.0, 5.0, 1.0, [ped(0.5, progress=2.0)]))
         assert nxt.acceleration != first.acceleration
 
     def test_zero_time_advantage_falls_back_and_flags_once(self):
@@ -482,17 +509,31 @@ CORPUS = Path(__file__).with_name("strategy_corpus.json")
 
 
 class RecordingStrategy:
-    """Pass-through strategy that logs every step's (acceleration, fallback)."""
+    """Pass-through strategy that logs every step's (acceleration, fallback).
+
+    A step that the wrapped strategy answers with a mode query is logged
+    when the engine resumes it, with the decision ``resume`` returns.
+    """
 
     def __init__(self, strategy, log):
         self.strategy = strategy
         self.update_interval = getattr(strategy, "update_interval", None)
         self.steps = []
         self.decision_times = set()
+        self.resumed = 0
         log.append(self)
 
     def command(self, *args):
         decision = self.strategy.command(*args)
+        if isinstance(decision, ModeQuery):
+            return decision
+        return self._logged(decision)
+
+    def resume(self, mode):
+        self.resumed += 1
+        return self._logged(self.strategy.resume(mode))
+
+    def _logged(self, decision):
         self.steps.append((decision.acceleration, decision.fallback))
         if getattr(self.strategy, "decision_taken", False):
             self.decision_times.add(self.strategy.decision_time)
@@ -530,6 +571,8 @@ class TestStrategyCorpus:
         # Arrivals are dense enough that some soft-yield plans get revised.
         assert any(len(rec.decision_times) > 1 for rec in candidates)
         assert any(flag for rec in log for _, flag in rec.steps)
+        # The baseline's updates went through the engine's batched search.
+        assert any(rec.resumed for rec in baselines)
         recorded = [
             {"candidate": run_lengths(c.steps), "baseline": run_lengths(b.steps)}
             for c, b in zip(candidates, baselines)

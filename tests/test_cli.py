@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from crossingsim.agents import HumanDriver
 from crossingsim.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
 from crossingsim.config import (
     AgentsConfig,
@@ -24,6 +25,8 @@ from crossingsim.ingest import read_observations, reference_generator
 from crossingsim.metrics import EvaluationReport
 from crossingsim.mixture import GaussianMixture
 from crossingsim.scenario import OBS_COLUMNS
+from crossingsim.seeds import derive_seed
+from crossingsim.sim import experiment_schedule, run_episode
 
 OBS_HEADER = ",".join(OBS_COLUMNS)
 
@@ -407,6 +410,9 @@ class TestCondition:
                 "--given",
                 "inv_T_adv=0.4",
             ],
+            ["--given", "inv_R=nan"],
+            ["--given", "inv_R=inf"],
+            ["--given", "v=1e400"],
         ],
         ids=[
             "no-assignment",
@@ -416,6 +422,9 @@ class TestCondition:
             "free-already-assigned",
             "too-few-points",
             "nothing-left-free",
+            "not-a-number",
+            "infinite",
+            "overflows-to-infinity",
         ],
     )
     def test_bad_assignments_are_usage_errors(self, tmp_path, extra):
@@ -423,6 +432,16 @@ class TestCondition:
         untruncated_diagonal_model().save(tmp_path / "model.json")
         argv = ["condition", "--config", str(cfg), "--out", str(tmp_path)] + extra
         assert main(argv) == EXIT_USAGE
+
+    def test_assignment_outside_the_box_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, RunConfig())
+        reference_generator().save(tmp_path / "model.json")
+        argv = [
+            "condition", "--config", str(cfg), "--out", str(tmp_path),
+            "--given", "inv_R=-0.5", "--given", "v=5.0",
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert "inv_R=-0.5 lies outside" in capsys.readouterr().err
 
     def test_assignment_beyond_model_dimension_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, RunConfig())
@@ -494,6 +513,43 @@ class TestSimulate:
         assert len(walker) > 2
         assert all(row["L"] != "" for row in walker)
         assert np.all(np.diff([float(row["R"]) for row in walker]) <= 0.0)
+
+    def test_human_candidate_matches_a_lone_episode(self, tmp_path):
+        config = RunConfig(agents=AgentsConfig(av_strategy="human"))
+        cfg = write_config(tmp_path, config)
+        model = reference_generator()
+        model.save(tmp_path / "model.json")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "trajectory.csv", newline="", encoding="utf-8") as f:
+            rows = [
+                tuple(None if cell in ("", "none") else cell for cell in row)
+                for row in list(csv.reader(f))[1:]
+            ]
+
+        schedule = experiment_schedule(config.sim, config.master_seed, 0)
+        result = run_episode(
+            config.sim,
+            HumanDriver(model, config.agents.human),
+            schedule,
+            model=model,
+            walk_speed_seeds=[
+                derive_seed(config.master_seed, "walk-0", j) for j in range(len(schedule))
+            ],
+            record_trajectory=True,
+        )
+        # repr round-trips a float exactly, so equal strings mean equal bits.
+        expected = [
+            (
+                None if p.pedestrian_id is None else f"ped{p.pedestrian_id}",
+                repr(p.t),
+                repr(p.longitudinal_gap),
+                None if p.lateral_gap is None else repr(p.lateral_gap),
+                repr(p.vehicle_speed),
+            )
+            for p in result.trajectory
+        ]
+        assert rows == expected
+        assert any(row[0] == "ped0" for row in rows)
 
     def test_needs_a_four_dimensional_model(self, tmp_path, capsys):
         cfg = write_config(tmp_path, RunConfig())

@@ -210,10 +210,12 @@ def decide_walk_speed(
     given seed and clamped to ``bounds``.  The time-advantage coordinate
     is marginalized out, not observed: conditioning on it would be
     circular because it already depends on the walk speed being chosen.
-    A stopped vehicle conditions on range alone; if conditioning fails
+    A stopped vehicle conditions on range alone.  If conditioning fails
     (singular observed block, or the vehicle state falls outside the
-    model's support) the unconditional v_p marginal is used and the
-    decision is flagged.
+    model's support), or the conditional's box holds less mass than
+    :meth:`~crossingsim.mixture.GaussianMixture.sample` can draw from
+    (below its 1e-6 acceptance floor), the unconditional v_p marginal is
+    used and the decision is flagged.
     """
     lo, hi = bounds
     if not 0 < lo <= hi:
@@ -232,6 +234,8 @@ def decide_walk_speed(
             conditional = model.condition(
                 [OBS_INV_RANGE], [1.0 / vehicle_range], [OBS_WALK_SPEED]
             )
+        if conditional.box_mass() < 1e-6:
+            raise ValueError("the conditional's box holds almost no mass")
     except ValueError:  # ConditioningError included
         conditional = model.marginalize([OBS_WALK_SPEED])
         used_fallback = True

@@ -142,6 +142,16 @@ class RunConfig:
     ingest: IngestConfig = field(default_factory=IngestConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
 
+    def __post_init__(self) -> None:
+        # The episode engine's own test: the human baseline's updates must
+        # fall at least ten steps apart.
+        interval = self.agents.human.update_interval
+        if self.sim.dt > 0.1 * interval + 1e-12:
+            raise ValueError(
+                f"sim.dt={self.sim.dt} too coarse for agents.human.update_interval "
+                f"{interval}: need dt <= update_interval / 10"
+            )
+
     def to_document(self) -> dict:
         return asdict(self)
 

@@ -670,6 +670,7 @@ class GaussianMixture:
         self.fit_seed = fit_seed
         self._chols: Optional[np.ndarray] = None
         self._box_masses: Optional[np.ndarray] = None
+        self._box_mass: Optional[float] = None
         self._conditioners: dict[tuple, Conditioner] = {}
 
     @classmethod
@@ -696,6 +697,7 @@ class GaussianMixture:
         model.fit_seed = None
         model._chols = chols
         model._box_masses = None
+        model._box_mass = None
         model._conditioners = {}
         return model
 
@@ -790,6 +792,32 @@ class GaussianMixture:
         if self.truncation is None:
             return 1.0
         return float(self.weights @ self.component_box_masses())
+
+    def box_mass(self) -> float:
+        """Exact mass of a 1-D mixture inside its box (1 when untruncated),
+        summed over the components of positive weight.
+
+        Unlike :meth:`normalization`, it does not raise for a weight-0
+        component that holds no mass in the box.  The result is cached.
+        """
+        if self.dim != 1:
+            raise ValueError("box_mass needs a 1-D mixture")
+        if self.truncation is None:
+            return 1.0
+        if self._box_mass is None:
+            lo = float(self.truncation.lower[0])
+            hi = float(self.truncation.upper[0])
+            total = 0.0
+            for weight, mean, var in zip(
+                self.weights.tolist(),
+                self.means[:, 0].tolist(),
+                self.covariances[:, 0, 0].tolist(),
+            ):
+                if weight > 0.0:
+                    sd = math.sqrt(var)
+                    total += weight * _scalar_interval_mass((lo - mean) / sd, (hi - mean) / sd)
+            self._box_mass = total
+        return self._box_mass
 
     def _as_rows(self, y: object) -> tuple[np.ndarray, bool]:
         arr = np.asarray(y, dtype=float)
@@ -1031,7 +1059,9 @@ class Conditioner:
     observed-block covariance, the regression matrix Sigma_fo Sigma_oo^-1,
     the conditional covariance (validated here, once), the log-determinant,
     the log-weights and the sliced boxes.  A call then costs one batched
-    product for the conditional means and the reweighting.
+    product for the conditional means and the reweighting.  The last
+    result is kept with the exact bits of its values, so a repeated call
+    returns the same model without computing it again.
 
     Raises:
         ValueError: bad or overlapping dimension subsets, or a conditional
@@ -1084,6 +1114,9 @@ class Conditioner:
         if model.truncation is not None:
             self._obs_box = model.truncation.sliced(obs)
             self._free_box = model.truncation.sliced(free)
+        # (value bytes, conditional) of the last call, as one attribute so a
+        # concurrent reader never pairs one call's key with another's model.
+        self._last: Optional[tuple[bytes, GaussianMixture]] = None
 
     def __call__(self, observed_values: Sequence[float]) -> GaussianMixture:
         """Conditional mixture over the free dimensions.
@@ -1093,21 +1126,30 @@ class Conditioner:
                 the truncation box.
         """
         vals = np.asarray(observed_values, dtype=float)
-        if vals.shape != (self._obs_means.shape[1],) or not np.isfinite(vals).all():
-            raise ValueError("observed_values must be finite and match observed_dims")
+        bad = "observed_values must be finite and match observed_dims"
+        if vals.shape != (self._obs_means.shape[1],):
+            raise ValueError(bad)
+        key = vals.tobytes()
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        if not np.isfinite(vals).all():
+            raise ValueError(bad)
         if self._obs_box is not None and not self._obs_box.contains(vals):
             raise ValueError("observed values lie outside the truncation box")
         projected = np.einsum("kij,kj->ki", self._projection, vals - self._obs_means)
         white = projected[:, self._n_free :]
         log_w = self._log_norms - 0.5 * (white * white).sum(axis=1)
         weights = np.exp(log_w - log_w.max())
-        return GaussianMixture._trusted(
+        conditional = GaussianMixture._trusted(
             weights / weights.sum(),
             self._free_means + projected[:, : self._n_free],
             self._covariances,
             self._free_box,
             self._chols,
         )
+        self._last = (key, conditional)
+        return conditional
 
 
 # ---------------------------------------------------------------------------

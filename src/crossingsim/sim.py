@@ -183,6 +183,18 @@ def _lead_steps(config: SimConfig) -> int:
     return max(int(math.floor(needed)) + 1, 1)
 
 
+def _last_step(step: int, dt: float, deadline: float) -> int:
+    """The step at whose end the episode loop times out: the first
+    ``s >= step`` with ``(s + 1) * dt >= deadline``, by the loop's own
+    float test."""
+    last = max(step, math.ceil(deadline / dt) - 1)
+    while last > step and last * dt >= deadline:
+        last -= 1
+    while (last + 1) * dt < deadline:
+        last += 1
+    return last
+
+
 Episode = Generator[ModeQuery, object, EpisodeResult]
 
 
@@ -240,6 +252,11 @@ def _episode(
     It yields the :class:`ModeQuery` of every step whose decision waits on
     a mode search, expects the search's result (the mode, or its
     ValueError) sent back, and returns the EpisodeResult.
+
+    A vehicle that a settled strategy holds at speed 0 short of the line
+    is parked until the horizon: without a trajectory to record, the
+    episode spawns the pedestrians still due, each as its step would,
+    and times out at once instead of stepping there.
     """
     n_replayed = len(walk_speeds) if walk_speeds is not None else 0
     if n_replayed < len(schedule):
@@ -280,6 +297,31 @@ def _episode(
     decided_fallbacks: list[bool] = []
     strategy_fallbacks = 0
     trajectory: Optional[list[TrajectoryPoint]] = [] if record_trajectory else None
+    parkable = trajectory is None  # a recorded episode writes every step's rows
+
+    def spawn(j: int, gap: float, speed: float) -> Pedestrian:
+        """Scheduled pedestrian ``j``, its walk speed replayed or decided
+        against the vehicle's range and speed now."""
+        if j < n_replayed:
+            walk_speed, walk_fallback = float(walk_speeds[j]), False
+        else:
+            walk_speed, walk_fallback = decide_walk_speed(
+                model,
+                vehicle_range=gap,
+                vehicle_speed=speed,
+                seed=walk_speed_seeds[j],
+                bounds=(config.walk_speed_min, config.walk_speed_max),
+            )
+        decided_speeds.append(walk_speed)
+        decided_fallbacks.append(walk_fallback)
+        return Pedestrian(
+            # Nominal schedule instant, unique per pedestrian even if
+            # several spawn on the same step.
+            arrival_time=clock_start + times[j],
+            side=schedule.sides[j],
+            walk_speed=walk_speed,
+            crossing_length=config.crossing_length,
+        )
 
     crashed = False
     crash_time: Optional[float] = None
@@ -291,32 +333,32 @@ def _episode(
     while True:
         if clock_start is None and gap <= trigger_gate:
             clock_start = clock
+        if (
+            settled
+            and speed == 0.0
+            and acceleration <= 0.0
+            and gap > 0.0
+            and parkable
+            and clock_start is not None
+        ):
+            # Parked for good: the speed stays 0 and the gap stays put, so no
+            # crash or pass is reachable and only spawns and the time-out
+            # remain.  Spawn every pedestrian due by the last step at once.
+            last = _last_step(step, dt, deadline)
+            rel = last * dt - clock_start
+            while spawned < n_scheduled and times[spawned] <= rel + 1e-12:
+                spawn(spawned, gap, speed)
+                spawned += 1
+            if fallback:
+                strategy_fallbacks += last - step + 1
+            timed_out = True
+            break
         if clock_start is not None and spawned < n_scheduled:
             rel = clock - clock_start
             while spawned < n_scheduled and times[spawned] <= rel + 1e-12:
-                if spawned < n_replayed:
-                    speed_choice = float(walk_speeds[spawned])
-                    speed_fallback = False
-                else:
-                    speed_choice, speed_fallback = decide_walk_speed(
-                        model,
-                        vehicle_range=gap,
-                        vehicle_speed=speed,
-                        seed=walk_speed_seeds[spawned],
-                        bounds=(config.walk_speed_min, config.walk_speed_max),
-                    )
-                ped = Pedestrian(
-                    # Nominal schedule instant, unique per pedestrian even if
-                    # several spawn on the same step.
-                    arrival_time=clock_start + times[spawned],
-                    side=schedule.sides[spawned],
-                    walk_speed=speed_choice,
-                    crossing_length=crossing_length,
-                )
+                ped = spawn(spawned, gap, speed)
                 active.append(ped)
                 spawn_order[id(ped)] = spawned
-                decided_speeds.append(speed_choice)
-                decided_fallbacks.append(speed_fallback)
                 spawned += 1
 
         if not settled:

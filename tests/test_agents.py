@@ -230,6 +230,21 @@ class TestDecideWalkSpeed:
         with pytest.raises(ValueError):
             decide_walk_speed(diagonal_model(), 25.0, 6.0, seed=0, bounds=(0.0, 3.0))
 
+    def test_conditional_without_box_mass_falls_back_to_marginal(self):
+        # 1/R and v_p strongly anti-correlated: a vehicle parked 5 mm short
+        # of the line (1/R = 200) puts the conditional v_p mean near -1200,
+        # where the box v_p >= 0 holds no mass and rejection would stall.
+        model = diagonal_model()
+        cov = model.covariances[0].copy()
+        cov[0, 2] = cov[2, 0] = -0.9 * 0.03 * 0.2
+        model = GaussianMixture(np.ones(1), model.means, cov[None], model.truncation)
+        assert model.condition([0], [200.0], [2]).box_mass() < 1e-6
+        got = decide_walk_speed(model, 0.005, 0.0, seed=8)
+        assert got.used_fallback
+        want = float(model.marginalize([2]).sample(1, seed=8)[0, 0])
+        assert got.speed == min(max(want, 0.3), 3.0)
+        assert not decide_walk_speed(model, 25.0, 0.0, seed=8).used_fallback
+
 
 class TestSelectGoverning:
     def test_minimal_time_advantage_wins(self):

@@ -664,6 +664,16 @@ class TestArgumentHandling:
         argv = ["gen-data", "--config", str(out / "config.json"), "--out", str(out)]
         assert main(argv) == EXIT_USAGE
 
+    def test_step_too_coarse_for_the_human_driver_is_usage_error(self, tmp_path, capsys):
+        reference_generator().save(tmp_path / "model.json")
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"sim": {"dt": 0.5}, "eval": {"n_experiments": 2}}')
+        argv = ["evaluate", "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert "sim.dt=0.5 too coarse" in capsys.readouterr().err
+        cfg.write_text('{"sim": {"dt": 0.5}, "agents": {"human": {"update_interval": 5.0}}}')
+        assert RunConfig.load(cfg).sim.dt == 0.5
+
     def test_nonpositive_parallel_is_usage_error(self, tmp_path, capsys):
         reference_generator().save(tmp_path / "model.json")
         argv = ["evaluate", "--out", str(tmp_path), "--parallel", "0"]

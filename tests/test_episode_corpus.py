@@ -31,6 +31,7 @@ from crossingsim.agents import (
     SoftYieldStrategy,
     StrategyDecision,
 )
+from crossingsim import sim
 from crossingsim.ingest import reference_generator
 from crossingsim.seeds import derive_seed
 from crossingsim.sim import EpisodeResult, SimConfig, experiment_schedule, run_episode
@@ -176,37 +177,70 @@ class Unsettled:
 
 
 def soft_yield_runs(config: SimConfig, master: int, n: int):
-    """Each soft-yield episode of a paired run, run directly and through
-    :class:`Unsettled`, with trajectories; yields (direct, wrapped, strategy)."""
+    """Each soft-yield episode of a paired run: directly and through
+    :class:`Unsettled` with trajectories, and directly without one, where a
+    parked vehicle's episode ends at once; yields (direct, wrapped, plain,
+    strategy), ``strategy`` being the one that drove ``direct``."""
     model = reference_generator()
+
+    def soft_yield():
+        return SoftYieldStrategy(SoftYieldParams(), config.crossing_length)
+
     for index in range(n):
         schedule = experiment_schedule(config, master, index)
         seeds = [derive_seed(master, f"walk-{index}", j) for j in range(len(schedule))]
-        strategy = SoftYieldStrategy(SoftYieldParams(), config.crossing_length)
-        hidden = Unsettled(SoftYieldStrategy(SoftYieldParams(), config.crossing_length))
-        direct, wrapped = (
+        strategy = soft_yield()
+        direct, wrapped, plain = (
             run_episode(
                 config, driver, schedule, model=model, walk_speed_seeds=seeds,
-                record_trajectory=True,
+                record_trajectory=record,
             )
-            for driver in (strategy, hidden)
+            for driver, record in (
+                (strategy, True), (Unsettled(soft_yield()), True), (soft_yield(), False)
+            )
         )
-        yield direct, wrapped, strategy
+        yield direct, wrapped, plain, strategy
 
 
+def ends_parked(result: EpisodeResult, strategy) -> bool:
+    """True when a recorded episode timed out with a settled strategy
+    holding the vehicle at speed 0 short of the line."""
+    last = result.trajectory[-1]
+    return (
+        result.timed_out
+        and strategy.settled
+        and last.vehicle_speed == 0.0
+        and last.longitudinal_gap > 0.0
+    )
+
+
+# Whether some vehicle of the case parks.  None does in hidden-spawns, and
+# the evaluate-200 vehicles that stop short of the line keep creeping at
+# about 3e-15 m/s.
 @pytest.mark.parametrize(
-    "config, master, n",
-    [(SimConfig(**case["sim"]), case["master_seed"], case["n"]) for case in PAIRED_CASES.values()]
-    + [(SimConfig(), 10004, 200)],
+    "config, master, n, parks",
+    [
+        (SimConfig(**case["sim"]), case["master_seed"], case["n"], name != "hidden-spawns")
+        for name, case in PAIRED_CASES.items()
+    ]
+    + [(SimConfig(), 10004, 200, False)],
     ids=list(PAIRED_CASES) + ["evaluate-200"],
 )
-def test_a_settled_strategy_changes_no_result(config, master, n):
-    settled = 0
-    for direct, wrapped, strategy in soft_yield_runs(config, master, n):
+def test_a_settled_strategy_changes_no_result(config, master, n, parks, monkeypatch):
+    finished = []
+    last_step = sim._last_step
+    monkeypatch.setattr(sim, "_last_step", lambda *args: finished.append(args) or last_step(*args))
+    settled = parked = 0
+    for direct, wrapped, plain, strategy in soft_yield_runs(config, master, n):
         assert direct == wrapped
         assert _fields(direct) == _fields(wrapped)  # bit for bit
+        assert _fields(plain) == _fields(wrapped)
         settled += strategy.settled
+        parked += ends_parked(direct, strategy)
     assert settled
+    # Exactly the parked plain episodes end by the parked finish.
+    assert len(finished) == parked
+    assert bool(parked) == parks
 
 
 if __name__ == "__main__":

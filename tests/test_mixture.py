@@ -505,6 +505,31 @@ class TestDensity:
         with pytest.raises(DegenerateTruncationError):
             far.component_box_masses()
 
+    def test_box_mass_is_the_closed_form_over_weighted_components(self):
+        rng = np.random.Generator(np.random.PCG64(13))
+        for lo, hi in [(0.0, np.inf), (-np.inf, 1.0), (-1.0, 2.5)]:
+            box = TruncationBox(np.array([lo]), np.array([hi]))
+            model = random_mixture(rng, dim=1, k=4, truncation=box)
+            sds = np.sqrt(model.covariances[:, 0, 0])
+            means = model.means[:, 0]
+            want = model.weights @ (ndtr((hi - means) / sds) - ndtr((lo - means) / sds))
+            assert model.box_mass() == pytest.approx(want, rel=1e-14)
+            assert model.box_mass() == pytest.approx(model.normalization(), rel=1e-14)
+        # A weight-0 component with no mass in the box makes normalization
+        # raise; box_mass leaves it out.
+        far = GaussianMixture(
+            np.array([0.0, 1.0]),
+            np.array([[-60.0], [1.0]]),
+            np.ones((2, 1, 1)),
+            truncation=TruncationBox.positive_orthant(1),
+        )
+        with pytest.raises(DegenerateTruncationError):
+            far.normalization()
+        assert far.box_mass() == pytest.approx(ndtr(1.0), rel=1e-15)
+        assert GaussianMixture(np.ones(1), np.zeros((1, 1)), np.ones((1, 1, 1))).box_mass() == 1.0
+        with pytest.raises(ValueError):
+            random_mixture(rng, dim=2, truncation=TruncationBox.positive_orthant(2)).box_mass()
+
     @pytest.mark.parametrize("n_accepted", [20_000])
     def test_four_dim_box_masses_use_the_documented_seeds(self, n_accepted):
         model = reference_generator()
@@ -780,6 +805,31 @@ class TestConditioner:
             with pytest.raises(ValueError):
                 conditioner(values)
 
+
+    @given(data=st.data())
+    def test_repeated_values_are_served_from_the_memo(self, data):
+        def bits(model):
+            return [a.tobytes() for a in (model.weights, model.means, model.covariances)]
+
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        model = random_mixture(
+            np.random.Generator(np.random.PCG64(seed)),
+            dim=4,
+            truncation=TruncationBox.positive_orthant(4),
+        )
+        conditioner = Conditioner(model, [0, 2])
+        x = data.draw(st.floats(0.0, 5.0))
+        first = conditioner([x, 0.0])
+        fresh = Conditioner(model, [0, 2])([x, 0.0])
+        assert conditioner(np.array([x, 0.0])) is first
+        assert bits(first) == bits(fresh)
+        # The other zero is other bits: computed afresh, to the same model.
+        signed = conditioner([x, -0.0])
+        assert signed is not first and bits(signed) == bits(fresh)
+        for bad in ([[x, -0.0]], [x, -0.0, 0.0], [x, math.nan], [math.inf, -0.0], [x, -0.1]):
+            assert conditioner([x, -0.0]) is signed
+            with pytest.raises(ValueError):
+                conditioner(bad)
 
     def test_free_dims_equal_marginalize_then_condition(self):
         rng = np.random.Generator(np.random.PCG64(3004))

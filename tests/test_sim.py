@@ -4,7 +4,9 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from crossingsim import sim
 from crossingsim.agents import (
     ArrivalSchedule,
     HumanDriver,
@@ -276,6 +278,62 @@ class TestStepGuard:
         driver = HumanDriver(diagonal_model(), HumanDriverParams(update_interval=1.0))
         result = run_episode(SimConfig(dt=0.1), driver, EMPTY, walk_speeds=[])
         assert result.completed
+
+
+class BrakeAndHold:
+    """Coasts to 20 m short of the line, then brakes at 4 m/s^2 for good,
+    flagging every braking step.  With ``settles``, it has ``settled`` and
+    sets it on its first braking step."""
+
+    def __init__(self, settles):
+        if settles:
+            self.settled = False
+
+    def command(self, clock, longitudinal_gap, vehicle_speed, pedestrians):
+        if longitudinal_gap > 20.0:
+            return StrategyDecision(0.0)
+        if hasattr(self, "settled"):
+            self.settled = True
+        return StrategyDecision(-4.0, fallback=True)
+
+
+class TestParkedFinish:
+    @given(
+        dt=st.floats(0.01, 0.5),
+        horizon=st.floats(0.05, 50.0),
+        lead=st.integers(1, 100),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_last_step_is_the_loops_time_out(self, dt, horizon, lead, share):
+        deadline = lead * dt + horizon
+        step = int(share * deadline / dt)
+        assume(step * dt < deadline)  # the loop has not timed out before step
+        last = step
+        while (last + 1) * dt < deadline:
+            last += 1
+        assert sim._last_step(step, dt, deadline) == last
+
+    def test_parked_episode_matches_stepping_to_the_horizon(self, monkeypatch):
+        finished = []
+        last_step = sim._last_step
+        monkeypatch.setattr(
+            sim, "_last_step", lambda *args: finished.append(args) or last_step(*args)
+        )
+        config = SimConfig(arrival_mode="poisson", arrival_rate=0.15)
+        schedule = experiment_schedule(config, 5, 0)
+        seeds = [derive_seed(5, "walk-0", j) for j in range(len(schedule))]
+        parked, stepped = (
+            run_episode(
+                config, BrakeAndHold(settles), schedule, model=diagonal_model(),
+                walk_speed_seeds=seeds,
+            )
+            for settles in (True, False)
+        )
+        assert len(finished) == 1
+        assert parked.timed_out and len(parked.walk_speeds) == len(schedule) > 10
+        # Every step from the first braking one to the horizon is flagged.
+        assert parked.strategy_fallbacks > 2000
+        assert parked == stepped
 
 
 class TestExperimentSchedule:

@@ -249,13 +249,20 @@ def decide_walk_speed(
 
 
 class StrategyDecision(NamedTuple):
-    """Commanded acceleration, and whether the strategy's fallback fired."""
+    """Commanded acceleration, whether the strategy's fallback fired, and
+    the decision's hold: the engine applies it again on every later step
+    whose clock is below ``until`` (early, never late), and a hold that is
+    not ``final`` also ends when a pedestrian may have become visible."""
 
     acceleration: float
     fallback: bool = False
+    until: float = 0.0
+    final: bool = False
 
 
-_COAST = StrategyDecision(0.0)
+def _before(clock: float) -> float:
+    """A hold end early enough for a clock test with rounding and 1e-9 s slack."""
+    return clock - 2e-9 * (1.0 + abs(clock))
 
 
 class ModeQuery(NamedTuple):
@@ -378,10 +385,10 @@ class SoftYieldStrategy:
     braking phase has elapsed; otherwise the committed profile persists
     (brake for the committed duration, then coast).
 
-    Once a call finds the braking phase of a taken plan over, no later
-    pedestrian can revise it, so every later call (at a clock no earlier)
-    coasts.  That call sets ``settled``, and the episode engine stops
-    consulting the strategy from then on.
+    Before a plan only a newly visible pedestrian can change the coast,
+    and while braking only one that arrives before the brake ends.  Once
+    a call finds the braking phase of a taken plan over, no later
+    pedestrian can revise it, so that call's coast is a final hold.
     """
 
     def __init__(self, params: SoftYieldParams, crossing_length: float) -> None:
@@ -392,8 +399,6 @@ class SoftYieldStrategy:
         self.plan = SoftYieldPlan(0.0, 0.0, False)
         self._governing: Optional[Pedestrian] = None
         self._seen: set[float] = set()
-        self._brake = _COAST  # the committed plan's braking-phase command
-        self.settled = False
 
     def _maybe_decide(
         self,
@@ -427,7 +432,6 @@ class SoftYieldStrategy:
         self.decision_taken = True
         self.decision_time = clock
         self._governing = candidate
-        self._brake = StrategyDecision(self.plan.acceleration)
         return True
 
     def command(
@@ -445,17 +449,15 @@ class SoftYieldStrategy:
             if new:
                 seen.update(p.arrival_time for p in new)
                 fresh = self._maybe_decide(clock, longitudinal_gap, vehicle_speed, new)
-        elapsed = clock - self.decision_time
-        decision = _COAST  # so is _brake until a plan is taken
-        if elapsed < self.plan.brake_duration:
-            decision = self._brake
-        if fresh and self.plan.full_stop:
-            # Flag the fallback once, on the step the plan is committed.
-            return decision._replace(fallback=True)
-        if self.decision_taken and elapsed >= self.plan.brake_duration:
+        if not self.decision_taken:
+            return StrategyDecision(0.0, until=math.inf)  # until someone shows up
+        plan = self.plan
+        fallback = fresh and plan.full_stop  # flagged once, when committed
+        if clock - self.decision_time >= plan.brake_duration:
             # _maybe_decide's test: from here on it takes no new plan.
-            self.settled = True
-        return decision
+            return StrategyDecision(0.0, fallback, math.inf, final=True)
+        end = _before(self.decision_time + plan.brake_duration)
+        return StrategyDecision(plan.acceleration, fallback, end)
 
 
 @dataclass(frozen=True)
@@ -484,11 +486,11 @@ class HumanDriver:
     Every ``update_interval`` seconds the driver recomputes the desired
     speed as the mode of v conditioned on (1/R, v_p, 1/T_Adv) for the
     governing pedestrian, and commands (desired - current) / interval
-    clamped to the acceleration limit.  Between updates the last command
-    holds.  With no governing pedestrian the driver recovers toward the
-    free-flow speed, cutting to zero acceleration once reached (checked
-    every step so recovery does not overshoot).  If the conditional is
-    unavailable (stopped vehicle, zero time advantage, singular observed
+    clamped to the acceleration limit.  Each decision holds until the next
+    update.  With no governing pedestrian the driver recovers toward the
+    free-flow speed, cutting to zero acceleration once reached (its ramp
+    holds for no step, so recovery does not overshoot).  If the conditional
+    is unavailable (stopped vehicle, zero time advantage, singular observed
     block) the driver holds its speed and flags the decision.
 
     An update that needs a mode returns its :class:`ModeQuery` from
@@ -525,13 +527,8 @@ class HumanDriver:
         """The update's decision from the desired speed, the error that
         stopped the update, or None when no pedestrian governs."""
         if desired is None:
-            self._recovering = True
-            accel = (
-                self.params.recovery_acceleration
-                if vehicle_speed < self.params.free_flow_speed
-                else 0.0
-            )
-            return StrategyDecision(accel)
+            self._recovering = True  # _hold cuts the ramp at free flow
+            return StrategyDecision(self.params.recovery_acceleration)
         self._recovering = False
         if isinstance(desired, Exception):
             return StrategyDecision(0.0, fallback=True)
@@ -578,14 +575,13 @@ class HumanDriver:
     def resume(self, desired) -> StrategyDecision:
         """Finish the pending update with the mode, the error that stopped
         it, or None when no pedestrian governs."""
-        self._held, fallback = self._recompute(self._speed, desired)
+        self._held, fallback = self._recompute(self._speed, desired)[:2]
         return self._hold(self._speed, fallback)
 
     def _hold(self, vehicle_speed: float, fallback: bool) -> StrategyDecision:
-        if (
-            self._recovering
-            and self._held > 0.0
-            and vehicle_speed >= self.params.free_flow_speed
-        ):
+        if self._recovering and self._held > 0.0:
+            if vehicle_speed < self.params.free_flow_speed:
+                # The cut to 0 depends on the speed: ask every step.
+                return StrategyDecision(self._held, fallback)
             self._held = 0.0
-        return StrategyDecision(self._held, fallback)
+        return StrategyDecision(self._held, fallback, _before(self._next_update))

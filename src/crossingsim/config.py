@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from crossingsim.agents import HumanDriverParams, SoftYieldParams
 from crossingsim.mixture import FitConfig
-from crossingsim.sim import SimConfig
+from crossingsim.sim import SimConfig, dt_fits
 
 __all__ = [
     "MixtureConfig",
@@ -146,7 +146,7 @@ class RunConfig:
         # The episode engine's own test: the human baseline's updates must
         # fall at least ten steps apart.
         interval = self.agents.human.update_interval
-        if self.sim.dt > 0.1 * interval + 1e-12:
+        if not dt_fits(self.sim.dt, interval):
             raise ValueError(
                 f"sim.dt={self.sim.dt} too coarse for agents.human.update_interval "
                 f"{interval}: need dt <= update_interval / 10"

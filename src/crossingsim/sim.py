@@ -3,9 +3,9 @@
 One episode: a vehicle approaches the crossing from beyond detection
 range at free-flow speed; once inside the trigger range the arrival
 clock starts and scheduled pedestrians begin to cross from either side.
-Each step the driving strategy commands an acceleration from what it
-can see, the vehicle integrates acceleration -> speed -> position, the
-pedestrians advance, and the crash predicate is evaluated.  The episode
+Each step the strategy decides from what it can see, unless its last
+decision holds; the vehicle integrates acceleration -> speed -> position,
+the pedestrians advance, and the crash predicate is evaluated.  The episode
 ends when the vehicle body fully clears the crossing line, a crash is
 detected, or the horizon elapses.
 
@@ -51,12 +51,12 @@ __all__ = [
 class DrivingStrategy(Protocol):
     """Per-episode controller; instances must not be reused across episodes.
 
-    The engine calls ``command`` once per step until the strategy settles.
-    A strategy may have a ``settled`` attribute, and may set it true only
-    after a ``command`` call whose decision it would return again for
-    every later clock, whatever pedestrians it is shown.  From then on the
-    engine applies that decision, fallback flag included, on every
-    remaining step without calling ``command``.
+    The engine calls ``command`` on the first step and whenever the hold
+    of the last :class:`~crossingsim.agents.StrategyDecision` ends: at its
+    ``until`` clock, or, for a hold that is not ``final``, on a step where
+    a pedestrian may have become visible.  On the steps in between it
+    applies that decision again; its fallback flag counts once, on the
+    step that returned it.
 
     ``command`` returns a :class:`~crossingsim.agents.StrategyDecision`,
     or, on a step whose decision needs a conditional mode, an
@@ -117,6 +117,8 @@ class SimConfig:
             )
         if self.fixed_count < 0:
             raise ValueError("fixed_count must be >= 0")
+        if self.arrival_mode == "fixed" and self.fixed_count > 1 and self.arrival_rate == 0:
+            raise ValueError("arrival_rate must be positive to space fixed_count > 1 arrivals")
         if self.walk_speed_min > self.walk_speed_max:
             raise ValueError("walk_speed_min must not exceed walk_speed_max")
         if self.dt > self.horizon:
@@ -170,6 +172,11 @@ def detect_crash(
         for p in pedestrians
         if not p.finished
     )
+
+
+def dt_fits(dt: float, update_interval: float) -> bool:
+    """True when updates ``update_interval`` apart fall ten steps or more apart."""
+    return dt <= 0.1 * update_interval + 1e-12
 
 
 def _lead_steps(config: SimConfig) -> int:
@@ -253,8 +260,8 @@ def _episode(
     a mode search, expects the search's result (the mode, or its
     ValueError) sent back, and returns the EpisodeResult.
 
-    A vehicle that a settled strategy holds at speed 0 short of the line
-    is parked until the horizon: without a trajectory to record, the
+    A vehicle that a final hold without end keeps at speed 0 short of the
+    line is parked until the horizon: without a trajectory to record, the
     episode spawns the pedestrians still due, each as its step would,
     and times out at once instead of stepping there.
     """
@@ -265,10 +272,8 @@ def _episode(
         if len(walk_speed_seeds) < len(schedule):
             raise ValueError("need one walk-speed seed per scheduled arrival")
     interval = getattr(strategy, "update_interval", None)
-    if interval is not None and config.dt > 0.1 * interval + 1e-12:
-        raise ValueError(
-            f"dt={config.dt} too coarse for strategy update interval {interval}"
-        )
+    if interval is not None and not dt_fits(config.dt, interval):
+        raise ValueError(f"dt={config.dt} too coarse for strategy update interval {interval}")
 
     dt = config.dt
     lead = _lead_steps(config)
@@ -280,8 +285,8 @@ def _episode(
     # Loop invariants: every step below repeats the arithmetic of
     # Pedestrian.advance, Pedestrian.past_path and detect_crash's window.
     command = strategy.command
-    settles = hasattr(strategy, "settled")
-    settled = False
+    until, final = 0.0, False  # the hold of the decision last returned
+    shown = 0  # spawn count at the last look within detection range
     n_scheduled = len(schedule)
     times = schedule.times.tolist()
     trigger_gate = config.trigger_range + 1e-12
@@ -297,7 +302,6 @@ def _episode(
     decided_fallbacks: list[bool] = []
     strategy_fallbacks = 0
     trajectory: Optional[list[TrajectoryPoint]] = [] if record_trajectory else None
-    parkable = trajectory is None  # a recorded episode writes every step's rows
 
     def spawn(j: int, gap: float, speed: float) -> Pedestrian:
         """Scheduled pedestrian ``j``, its walk speed replayed or decided
@@ -334,23 +338,22 @@ def _episode(
         if clock_start is None and gap <= trigger_gate:
             clock_start = clock
         if (
-            settled
+            final
             and speed == 0.0
+            and until == math.inf
             and acceleration <= 0.0
             and gap > 0.0
-            and parkable
+            and trajectory is None
             and clock_start is not None
         ):
-            # Parked for good: the speed stays 0 and the gap stays put, so no
-            # crash or pass is reachable and only spawns and the time-out
-            # remain.  Spawn every pedestrian due by the last step at once.
+            # Parked for good, recording nothing: the speed and gap stay put,
+            # so no crash or pass is reachable and only spawns and the
+            # time-out remain.  Spawn every pedestrian due by the last step.
             last = _last_step(step, dt, deadline)
             rel = last * dt - clock_start
             while spawned < n_scheduled and times[spawned] <= rel + 1e-12:
                 spawn(spawned, gap, speed)
                 spawned += 1
-            if fallback:
-                strategy_fallbacks += last - step + 1
             timed_out = True
             break
         if clock_start is not None and spawned < n_scheduled:
@@ -361,19 +364,19 @@ def _episode(
                 spawn_order[id(ped)] = spawned
                 spawned += 1
 
-        if not settled:
-            if active and gap <= detection_range:
+        # Ask when the hold ends, or, unless it is final, when someone
+        # spawned since the last look within detection range may be visible.
+        if clock >= until or (not final and spawned > shown and gap <= detection_range):
+            if gap <= detection_range:
                 visible = [p for p in active if p.progress <= path_edge]
+                shown = spawned
             else:
                 visible = []
             decision = command(clock, gap, speed, visible)
             if decision.__class__ is ModeQuery:
                 decision = strategy.resume((yield decision))
-            acceleration, fallback = decision
-            # A settled strategy returns this decision on every later step.
-            settled = settles and strategy.settled
-        if fallback:
-            strategy_fallbacks += 1
+            acceleration, fallback, until, final = decision
+            strategy_fallbacks += fallback
 
         if trajectory is not None:
             if active:

@@ -369,16 +369,18 @@ class TestSoftYieldStrategy:
         assert not any(flags[1:])
 
     def test_settles_once_the_braking_phase_is_over(self):
+        # The three holds: until a pedestrian shows up, until the brake
+        # ends, and for good.
         strat = self.strategy()
         walker = ped(1.2)
-        strat.command(0.0, 40.0, 5.0, [])
-        assert not strat.settled  # no plan yet
-        strat.command(0.0, 30.0, 5.0, [walker])
+        assert strat.command(0.0, 40.0, 5.0, []) == (0.0, False, math.inf, False)
+        braking = strat.command(0.0, 30.0, 5.0, [walker])
         t1 = strat.plan.brake_duration
-        strat.command(t1 / 2.0, 20.0, 4.0, [walker])
-        assert not strat.settled  # braking
-        assert strat.command(t1, 15.0, 3.5, [walker]) == StrategyDecision(0.0)
-        assert strat.settled
+        assert braking.acceleration < 0.0 and not braking.final
+        # Early, never late: a call at the hold's end still brakes.
+        assert t1 - 1e-6 < braking.until < t1
+        assert strat.command(braking.until, 20.0, 4.0, [walker]) == braking
+        assert strat.command(t1, 15.0, 3.5, [walker]) == (0.0, False, math.inf, True)
 
     @given(
         walk=st.floats(0.3, 3.0),
@@ -396,18 +398,19 @@ class TestSoftYieldStrategy:
         ),
     )
     def test_a_settled_strategy_only_coasts(self, walk, steps):
+        # Once a call returns a final hold, every later call returns it.
         strat = self.strategy()
         shown = [ped(walk)]
-        strat.command(0.0, 30.0, 5.0, shown)
+        held = strat.command(0.0, 30.0, 5.0, shown)
         clock = 0.0
         for index, (step, gap, speed, walk_new, progress, tie) in enumerate(steps, 1):
-            if strat.settled:
-                assert strat.command(clock, gap, speed, shown) == StrategyDecision(0.0, False)
-                assert strat.settled
-            else:
-                strat.command(clock, gap, speed, shown)
-                if clock - strat.decision_time < strat.plan.brake_duration:
-                    assert not strat.settled
+            decision = strat.command(clock, gap, speed, shown)
+            if held.final:
+                assert decision == held == (0.0, False, math.inf, True)
+            end = strat.decision_time + strat.plan.brake_duration
+            if clock - strat.decision_time < strat.plan.brake_duration:
+                assert not decision.final and decision.until < end  # never late
+            held = decision
             clock += step
             if tie and gap > 0 and speed > 0:
                 # Reaches the vehicle path as the vehicle reaches the line.
@@ -471,11 +474,12 @@ class TestHumanDriver:
 
     def test_recovery_trims_between_updates(self):
         # Held +1 command must cut to zero the step free flow is reached,
-        # not at the next scheduled update.
+        # not at the next scheduled update, so the ramp holds for no step.
         drv = self.driver()
-        assert drv.command(0.0, 40.0, 4.9, []).acceleration == 1.0
+        assert drv.command(0.0, 40.0, 4.9, []) == (1.0, False, 0.0, False)
+        assert drv.command(0.05, 40.0, 4.95, []) == (1.0, False, 0.0, False)
         held = drv.command(0.5, 40.0, 5.3, [])
-        assert held.acceleration == 0.0
+        assert held.acceleration == 0.0 and 1.0 - 1e-6 < held.until < 1.0
 
     def test_steers_toward_conditional_mode(self):
         # Independent coordinates: the desired speed is the v marginal's
@@ -492,9 +496,11 @@ class TestHumanDriver:
     def test_holds_between_updates(self):
         drv = self.driver(update_interval=1.0)
         first = answered(drv, drv.command(0.0, 20.0, 3.0, [ped(1.5)]))
-        # Mid-interval call with a very different world: held verbatim.
-        mid = drv.command(0.4, 5.0, 1.0, [ped(0.5, progress=2.0)])
-        assert mid.acceleration == first.acceleration
+        # The hold ends early, never late: up to its end, even in a very
+        # different world, a call returns it verbatim.
+        assert 1.0 - 1e-6 < first.until < 1.0 and not first.final
+        for clock in (0.4, first.until):
+            assert drv.command(clock, 5.0, 1.0, [ped(0.5, progress=2.0)]) == first
         nxt = answered(drv, drv.command(1.0, 5.0, 1.0, [ped(0.5, progress=2.0)]))
         assert nxt.acceleration != first.acceleration
 
@@ -526,7 +532,8 @@ CORPUS = Path(__file__).with_name("strategy_corpus.json")
 class RecordingStrategy:
     """Pass-through strategy that logs every step's (acceleration, fallback).
 
-    A step that the wrapped strategy answers with a mode query is logged
+    It removes each decision's hold, so the engine asks on every step.  A
+    step that the wrapped strategy answers with a mode query is logged
     when the engine resumes it, with the decision ``resume`` returns.
     """
 
@@ -552,7 +559,7 @@ class RecordingStrategy:
         self.steps.append((decision.acceleration, decision.fallback))
         if getattr(self.strategy, "decision_taken", False):
             self.decision_times.add(self.strategy.decision_time)
-        return decision
+        return decision._replace(until=0.0, final=False)
 
 
 def run_lengths(steps):

@@ -674,6 +674,18 @@ class TestArgumentHandling:
         cfg.write_text('{"sim": {"dt": 0.5}, "agents": {"human": {"update_interval": 5.0}}}')
         assert RunConfig.load(cfg).sim.dt == 0.5
 
+    def test_fixed_arrivals_without_a_rate_are_usage_error(self, tmp_path, capsys):
+        reference_generator().save(tmp_path / "model.json")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            '{"sim": {"fixed_count": 3, "arrival_rate": 0.0}, "eval": {"n_experiments": 2}}'
+        )
+        argv = ["evaluate", "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert "arrival_rate must be positive" in capsys.readouterr().err
+        cfg.write_text('{"sim": {"fixed_count": 1, "arrival_rate": 0.0}}')
+        assert RunConfig.load(cfg).sim.fixed_count == 1
+
     def test_nonpositive_parallel_is_usage_error(self, tmp_path, capsys):
         reference_generator().save(tmp_path / "model.json")
         argv = ["evaluate", "--out", str(tmp_path), "--parallel", "0"]

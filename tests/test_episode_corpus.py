@@ -18,15 +18,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from crossingsim.agents import (
     ArrivalSchedule,
     HumanDriver,
     HumanDriverParams,
+    ModeQuery,
     SoftYieldParams,
     SoftYieldStrategy,
     StrategyDecision,
@@ -166,78 +167,94 @@ def test_episodes_match_the_recording():
     assert set(built) == set(corpus["cases"])
 
 
-class Unsettled:
-    """Pass-through strategy without ``settled``: the engine consults it every step."""
+class EveryStep:
+    """Pass-through strategy that removes each decision's hold, so the
+    engine asks it on every step; ``last`` is the last decision it passed."""
 
     def __init__(self, strategy):
         self.strategy = strategy
+        self.last = None
 
     def command(self, *args):
-        return self.strategy.command(*args)
+        return self._every_step(self.strategy.command(*args))
+
+    def resume(self, mode):
+        return self._every_step(self.strategy.resume(mode))
+
+    def _every_step(self, decision):
+        if decision.__class__ is ModeQuery:
+            return decision
+        self.last = decision
+        return decision._replace(until=0.0, final=False)
 
 
-def soft_yield_runs(config: SimConfig, master: int, n: int):
-    """Each soft-yield episode of a paired run: directly and through
-    :class:`Unsettled` with trajectories, and directly without one, where a
-    parked vehicle's episode ends at once; yields (direct, wrapped, plain,
-    strategy), ``strategy`` being the one that drove ``direct``."""
-    model = reference_generator()
-
-    def soft_yield():
-        return SoftYieldStrategy(SoftYieldParams(), config.crossing_length)
-
-    for index in range(n):
-        schedule = experiment_schedule(config, master, index)
-        seeds = [derive_seed(master, f"walk-{index}", j) for j in range(len(schedule))]
-        strategy = soft_yield()
-        direct, wrapped, plain = (
-            run_episode(
-                config, driver, schedule, model=model, walk_speed_seeds=seeds,
-                record_trajectory=record,
-            )
-            for driver, record in (
-                (strategy, True), (Unsettled(soft_yield()), True), (soft_yield(), False)
-            )
-        )
-        yield direct, wrapped, plain, strategy
+def assert_same(held: EpisodeResult, asked: EpisodeResult) -> None:
+    """Equal fields and trajectory rows, bit for bit."""
+    assert _fields(held) == _fields(asked)
+    assert _trajectory_sha256(held.trajectory) == _trajectory_sha256(asked.trajectory)
 
 
-def ends_parked(result: EpisodeResult, strategy) -> bool:
-    """True when a recorded episode timed out with a settled strategy
-    holding the vehicle at speed 0 short of the line."""
-    last = result.trajectory[-1]
+def ends_parked(result: EpisodeResult, last: StrategyDecision) -> bool:
+    """True when a recorded episode timed out under a final hold without
+    end, with the vehicle at speed 0 short of the line."""
+    row = result.trajectory[-1]
     return (
         result.timed_out
-        and strategy.settled
-        and last.vehicle_speed == 0.0
-        and last.longitudinal_gap > 0.0
+        and last.final
+        and last.until == float("inf")
+        and row.vehicle_speed == 0.0
+        and row.longitudinal_gap > 0.0
     )
 
 
-# Whether some vehicle of the case parks.  None does in hidden-spawns, and
-# the evaluate-200 vehicles that stop short of the line keep creeping at
-# about 3e-15 m/s.
-@pytest.mark.parametrize(
-    "config, master, n, parks",
-    [
-        (SimConfig(**case["sim"]), case["master_seed"], case["n"], name != "hidden-spawns")
-        for name, case in PAIRED_CASES.items()
-    ]
-    + [(SimConfig(), 10004, 200, False)],
-    ids=list(PAIRED_CASES) + ["evaluate-200"],
-)
-def test_a_settled_strategy_changes_no_result(config, master, n, parks, monkeypatch):
+# (config, master seed, pairs, whether some vehicle parks).  None parks in
+# hidden-spawns, and the evaluate-200 vehicles that stop short of the line
+# keep creeping at about 3e-15 m/s.
+HELD_CASES = {
+    name: (SimConfig(**case["sim"]), case["master_seed"], case["n"], name != "hidden-spawns")
+    for name, case in PAIRED_CASES.items()
+}
+HELD_CASES["evaluate-200"] = (SimConfig(), 10004, 200, False)
+
+
+def pytest_generate_tests(metafunc):
+    # Parametrized here, so that re-recording the corpus needs numpy only.
+    if "held_case" in metafunc.fixturenames:
+        metafunc.parametrize("held_case", list(HELD_CASES.values()), ids=list(HELD_CASES))
+
+
+def test_held_decisions_change_no_result(held_case, monkeypatch):
+    """Each pair's soft-yield and human episodes give the same bits whether
+    the engine applies held decisions or asks on every step."""
+    config, master, n, parks = held_case
     finished = []
     last_step = sim._last_step
     monkeypatch.setattr(sim, "_last_step", lambda *args: finished.append(args) or last_step(*args))
-    settled = parked = 0
-    for direct, wrapped, plain, strategy in soft_yield_runs(config, master, n):
-        assert direct == wrapped
-        assert _fields(direct) == _fields(wrapped)  # bit for bit
-        assert _fields(plain) == _fields(wrapped)
-        settled += strategy.settled
-        parked += ends_parked(direct, strategy)
-    assert settled
+    model = reference_generator()
+    soft_yield = partial(SoftYieldStrategy, SoftYieldParams(), config.crossing_length)
+    human = partial(HumanDriver, model, HumanDriverParams())
+    finals = parked = 0
+    for index in range(n):
+        schedule = experiment_schedule(config, master, index)
+        seeds = [derive_seed(master, f"walk-{index}", j) for j in range(len(schedule))]
+
+        def run(strategy, record, walk_speeds=None):
+            return run_episode(
+                config, strategy, schedule, model=model, walk_speed_seeds=seeds,
+                walk_speeds=walk_speeds, record_trajectory=record,
+            )
+
+        every_step = EveryStep(soft_yield())
+        asked = run(every_step, True)
+        assert_same(run(soft_yield(), True), asked)
+        # Without a trajectory, a parked vehicle's episode ends at once.
+        plain = run(soft_yield(), False)
+        assert _fields(plain) == _fields(asked)
+        finals += every_step.last.final
+        parked += ends_parked(asked, every_step.last)
+        speeds = plain.walk_speeds
+        assert_same(run(human(), True, speeds), run(EveryStep(human()), True, speeds))
+    assert finals
     # Exactly the parked plain episodes end by the parked finish.
     assert len(finished) == parked
     assert bool(parked) == parks

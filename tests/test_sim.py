@@ -1,5 +1,6 @@
 """Episode engine: kinematics, crash geometry, replay, and pairing."""
 
+import math
 from functools import partial
 
 import numpy as np
@@ -69,6 +70,7 @@ class TestSimConfig:
             dict(walk_speed_min=2.0, walk_speed_max=1.0),
             dict(dt=10.0, horizon=5.0),
             dict(arrival_rate=-0.1),
+            dict(fixed_count=3, arrival_rate=0.0),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -282,19 +284,20 @@ class TestStepGuard:
 
 class BrakeAndHold:
     """Coasts to 20 m short of the line, then brakes at 4 m/s^2 for good,
-    flagging every braking step.  With ``settles``, it has ``settled`` and
-    sets it on its first braking step."""
+    flagging its first braking step.  With ``holds``, that decision is a
+    final hold without end; without, the engine asks it on every step."""
 
-    def __init__(self, settles):
-        if settles:
-            self.settled = False
+    def __init__(self, holds):
+        self.holds = holds
+        self.braking = False
 
     def command(self, clock, longitudinal_gap, vehicle_speed, pedestrians):
         if longitudinal_gap > 20.0:
             return StrategyDecision(0.0)
-        if hasattr(self, "settled"):
-            self.settled = True
-        return StrategyDecision(-4.0, fallback=True)
+        first, self.braking = not self.braking, True
+        if self.holds:
+            return StrategyDecision(-4.0, first, math.inf, final=True)
+        return StrategyDecision(-4.0, first)
 
 
 class TestParkedFinish:
@@ -324,16 +327,59 @@ class TestParkedFinish:
         seeds = [derive_seed(5, "walk-0", j) for j in range(len(schedule))]
         parked, stepped = (
             run_episode(
-                config, BrakeAndHold(settles), schedule, model=diagonal_model(),
+                config, BrakeAndHold(holds), schedule, model=diagonal_model(),
                 walk_speed_seeds=seeds,
             )
-            for settles in (True, False)
+            for holds in (True, False)
         )
         assert len(finished) == 1
         assert parked.timed_out and len(parked.walk_speeds) == len(schedule) > 10
-        # Every step from the first braking one to the horizon is flagged.
-        assert parked.strategy_fallbacks > 2000
+        assert parked.strategy_fallbacks == 1  # counted on the step that flagged it
         assert parked == stepped
+
+
+class AskedHuman(HumanDriver):
+    """HumanDriver that notes why the engine asked it on each call: an
+    update is due, the last decision held for no step (a recovery ramp),
+    or a pedestrian it has not been shown before is visible."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+        self.shown = set()
+        self.last = StrategyDecision(0.0)
+
+    def command(self, clock, longitudinal_gap, vehicle_speed, pedestrians):
+        new = {p.arrival_time for p in pedestrians} - self.shown
+        self.shown |= new
+        due = clock + 1e-9 >= self._next_update
+        self.calls.append((due, self.last.until == 0.0, bool(new)))
+        decision = super().command(clock, longitudinal_gap, vehicle_speed, pedestrians)
+        if isinstance(decision, StrategyDecision):
+            self.last = decision
+        return decision
+
+    def resume(self, desired):
+        self.last = super().resume(desired)
+        return self.last
+
+
+class TestHolds:
+    def test_human_driver_is_asked_only_when_its_hold_can_end(self):
+        config = SimConfig(fixed_count=3, arrival_rate=0.2)
+        schedule = experiment_schedule(config, 11, 0)
+        seeds = [derive_seed(11, "walk-0", j) for j in range(len(schedule))]
+        driver = AskedHuman(reference_generator(), HumanDriverParams())
+        result = run_episode(
+            config, driver, schedule, model=reference_generator(), walk_speed_seeds=seeds,
+            record_trajectory=True,
+        )
+        steps = len({row.t for row in result.trajectory})
+        due, ramp, shown = (sum(flags) for flags in zip(*driver.calls))
+        assert all(any(flags) for flags in driver.calls)
+        assert due == math.ceil(steps * config.dt)  # one update per second
+        assert ramp and shown == len(schedule)
+        assert len(driver.calls) < steps / 5
 
 
 class TestExperimentSchedule:

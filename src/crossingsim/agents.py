@@ -202,7 +202,7 @@ def decide_walk_speed(
     vehicle_range: float,
     vehicle_speed: float,
     seed: int,
-    bounds: tuple[float, float] = (0.3, 3.0),
+    bounds: tuple[float, float],
 ) -> WalkSpeedDecision:
     """Draw a walk speed from the model conditioned on the vehicle state.
 
@@ -467,7 +467,6 @@ class HumanDriverParams:
     update_interval: float = 1.0  # s between desired-speed recomputations
     max_acceleration: float = 4.0  # |a| clamp, m/s^2
     recovery_acceleration: float = 1.0  # m/s^2 back toward free flow
-    free_flow_speed: float = 5.0  # m/s
 
     def __post_init__(self) -> None:
         if self.update_interval <= 0:
@@ -476,8 +475,6 @@ class HumanDriverParams:
             raise ValueError("max_acceleration must be positive")
         if self.recovery_acceleration < 0:
             raise ValueError("recovery_acceleration must be >= 0")
-        if self.free_flow_speed <= 0:
-            raise ValueError("free_flow_speed must be positive")
 
 
 class HumanDriver:
@@ -487,21 +484,29 @@ class HumanDriver:
     speed as the mode of v conditioned on (1/R, v_p, 1/T_Adv) for the
     governing pedestrian, and commands (desired - current) / interval
     clamped to the acceleration limit.  Each decision holds until the next
-    update.  With no governing pedestrian the driver recovers toward the
-    free-flow speed, cutting to zero acceleration once reached (its ramp
-    holds for no step, so recovery does not overshoot).  If the conditional
-    is unavailable (stopped vehicle, zero time advantage, singular observed
-    block) the driver holds its speed and flags the decision.
+    update.  With no governing pedestrian the driver recovers toward
+    ``free_flow_speed``, the scenario's approach speed, and cuts to zero
+    acceleration on the first step that finds it reached (its ramp holds
+    for no step).  The step before the cut can carry the speed past free
+    flow, so recovery overshoots by less than ``recovery_acceleration * dt``.
+    If the conditional is unavailable (stopped vehicle, zero time
+    advantage, singular observed block) the driver holds its speed and
+    flags the decision.
 
     An update that needs a mode returns its :class:`ModeQuery` from
     ``command``, and ``resume`` turns the search's answer into the decision.
     """
 
-    def __init__(self, model: GaussianMixture, params: HumanDriverParams) -> None:
+    def __init__(
+        self, model: GaussianMixture, params: HumanDriverParams, free_flow_speed: float
+    ) -> None:
         if model.dim != 4:
             raise ValueError("human driver needs the 4-D interaction model")
+        if not free_flow_speed > 0:
+            raise ValueError(f"free_flow_speed must be positive, got {free_flow_speed!r}")
         self.model = model
         self.params = params
+        self.free_flow_speed = free_flow_speed
         self.update_interval = params.update_interval
         self._next_update = 0.0
         self._held = 0.0  # acceleration commanded until the next update
@@ -580,7 +585,7 @@ class HumanDriver:
 
     def _hold(self, vehicle_speed: float, fallback: bool) -> StrategyDecision:
         if self._recovering and self._held > 0.0:
-            if vehicle_speed < self.params.free_flow_speed:
+            if vehicle_speed < self.free_flow_speed:
                 # The cut to 0 depends on the speed: ask every step.
                 return StrategyDecision(self._held, fallback)
             self._held = 0.0

@@ -272,9 +272,14 @@ def cmd_condition(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _human_factory(config: RunConfig, model: GaussianMixture):
+    """The human driver, recovering to the scenario's free-flow speed."""
+    return partial(HumanDriver, model, config.agents.human, config.sim.free_flow_speed)
+
+
 def _candidate_factory(config: RunConfig, model: GaussianMixture):
     if config.agents.av_strategy == "human":
-        return partial(HumanDriver, model, config.agents.human)
+        return _human_factory(config, model)
     return partial(
         SoftYieldStrategy, config.agents.soft_yield, config.sim.crossing_length
     )
@@ -329,7 +334,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
         config.sim,
         model,
         _candidate_factory(config, model),
-        partial(HumanDriver, model, config.agents.human),
+        _human_factory(config, model),
         config.eval.n_experiments,
         config.master_seed,
         parallel=args.parallel,

@@ -289,10 +289,9 @@ def test_08_poisson_zero_probability(capsys):
 @criterion(9, "self-comparison is exactly neutral")
 def test_09_paired_protocol_neutrality(capsys):
     model = reference_generator()
-    factory = partial(HumanDriver, model, HumanDriverParams())
-    pairs = run_paired_experiments(
-        SimConfig(), model, factory, factory, 50, master_seed=2026
-    )
+    config = SimConfig()
+    factory = partial(HumanDriver, model, HumanDriverParams(), config.free_flow_speed)
+    pairs = run_paired_experiments(config, model, factory, factory, 50, master_seed=2026)
     report = compute_report(pairs)
     assert report.mu == 1.0
     assert report.cv == 0.0

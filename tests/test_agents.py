@@ -1,8 +1,6 @@
 """Arrival processes, pedestrian geometry, and both driving strategies."""
 
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +23,7 @@ from crossingsim.agents import (
 )
 from crossingsim.ingest import reference_generator
 from crossingsim.mixture import GaussianMixture, TruncationBox, conditional_modes
-from crossingsim.sim import SimConfig, run_paired_experiments
+from crossingsim.sim import SimConfig
 
 
 def diagonal_model(dim=4, means=(0.1, 5.0, 1.3, 0.4), sds=(0.03, 0.5, 0.2, 0.1)):
@@ -179,6 +177,10 @@ WALK_SPEED_CORPUS = [
     (-2.5, 2.2, 304, 1.3593933122493316, True),
 ]
 
+# The default scenario's walk-speed clamp (SimConfig.walk_speed_min/max),
+# under which WALK_SPEED_CORPUS was recorded.
+WALK_BOUNDS = (SimConfig().walk_speed_min, SimConfig().walk_speed_max)
+
 
 @pytest.fixture(scope="module")
 def reference_model():
@@ -190,20 +192,20 @@ class TestDecideWalkSpeed:
     def test_recorded_decisions(
         self, reference_model, vehicle_range, vehicle_speed, seed, speed, fallback
     ):
-        got = decide_walk_speed(reference_model, vehicle_range, vehicle_speed, seed)
+        got = decide_walk_speed(reference_model, vehicle_range, vehicle_speed, seed, WALK_BOUNDS)
         assert got == (speed, fallback)
 
     def test_deterministic(self):
         model = diagonal_model()
-        a = decide_walk_speed(model, 25.0, 6.0, seed=99)
-        b = decide_walk_speed(model, 25.0, 6.0, seed=99)
+        a = decide_walk_speed(model, 25.0, 6.0, seed=99, bounds=WALK_BOUNDS)
+        b = decide_walk_speed(model, 25.0, 6.0, seed=99, bounds=WALK_BOUNDS)
         assert a == b
 
     def test_diagonal_model_reduces_to_marginal(self):
         # Independence: conditioning must not move the v_p distribution,
         # so the draw equals a draw from the v_p marginal at the same seed.
         model = diagonal_model()
-        got = decide_walk_speed(model, 25.0, 6.0, seed=5)
+        got = decide_walk_speed(model, 25.0, 6.0, seed=5, bounds=WALK_BOUNDS)
         marginal = model.marginalize([2])
         want = float(marginal.sample(1, seed=5)[0, 0])
         assert got.speed == pytest.approx(want, abs=1e-12)
@@ -215,13 +217,13 @@ class TestDecideWalkSpeed:
         assert got.speed == 3.0
 
     def test_stopped_vehicle_conditions_on_range_alone(self):
-        got = decide_walk_speed(diagonal_model(), 25.0, 0.0, seed=2)
+        got = decide_walk_speed(diagonal_model(), 25.0, 0.0, seed=2, bounds=WALK_BOUNDS)
         assert not got.used_fallback
         assert 0.3 <= got.speed <= 3.0
 
     def test_vehicle_past_the_line_falls_back_to_marginal(self):
         model = diagonal_model()
-        got = decide_walk_speed(model, -1.0, 6.0, seed=8)
+        got = decide_walk_speed(model, -1.0, 6.0, seed=8, bounds=WALK_BOUNDS)
         assert got.used_fallback
         want = float(model.marginalize([2]).sample(1, seed=8)[0, 0])
         assert got.speed == pytest.approx(want, abs=1e-12)
@@ -239,11 +241,11 @@ class TestDecideWalkSpeed:
         cov[0, 2] = cov[2, 0] = -0.9 * 0.03 * 0.2
         model = GaussianMixture(np.ones(1), model.means, cov[None], model.truncation)
         assert model.condition([0], [200.0], [2]).box_mass() < 1e-6
-        got = decide_walk_speed(model, 0.005, 0.0, seed=8)
+        got = decide_walk_speed(model, 0.005, 0.0, seed=8, bounds=WALK_BOUNDS)
         assert got.used_fallback
         want = float(model.marginalize([2]).sample(1, seed=8)[0, 0])
         assert got.speed == min(max(want, 0.3), 3.0)
-        assert not decide_walk_speed(model, 25.0, 0.0, seed=8).used_fallback
+        assert not decide_walk_speed(model, 25.0, 0.0, seed=8, bounds=WALK_BOUNDS).used_fallback
 
 
 class TestSelectGoverning:
@@ -424,8 +426,6 @@ class TestHumanDriverParams:
             HumanDriverParams(update_interval=0.0)
         with pytest.raises(ValueError):
             HumanDriverParams(max_acceleration=-1.0)
-        with pytest.raises(ValueError):
-            HumanDriverParams(free_flow_speed=0.0)
 
 
 def answered(driver, decision):
@@ -438,7 +438,7 @@ def answered(driver, decision):
 
 class TestHumanDriver:
     def driver(self, **kwargs):
-        return HumanDriver(diagonal_model(), HumanDriverParams(**kwargs))
+        return HumanDriver(diagonal_model(), HumanDriverParams(**kwargs), 5.0)
 
     def test_queries_exactly_the_updates_that_search(self):
         drv = self.driver()
@@ -460,7 +460,12 @@ class TestHumanDriver:
 
     def test_requires_four_dimensional_model(self):
         with pytest.raises(ValueError):
-            HumanDriver(diagonal_model(dim=2), HumanDriverParams())
+            HumanDriver(diagonal_model(dim=2), HumanDriverParams(), 5.0)
+
+    @pytest.mark.parametrize("speed", [0.0, -5.0, math.nan])
+    def test_requires_a_positive_free_flow_speed(self, speed):
+        with pytest.raises(ValueError, match="free_flow_speed"):
+            HumanDriver(diagonal_model(), HumanDriverParams(), speed)
 
     def test_recovery_toward_free_flow(self):
         # No pedestrians at v0 - 3 must command the recovery accel.
@@ -520,83 +525,3 @@ class TestHumanDriver:
         out = drv.command(0.0, 30.0, 0.0, [ped(1.5)])
         assert out.fallback
         assert out.acceleration == 0.0
-
-
-# ---------------------------------------------------------------------------
-# Recorded per-step commands of both strategies
-# ---------------------------------------------------------------------------
-
-CORPUS = Path(__file__).with_name("strategy_corpus.json")
-
-
-class RecordingStrategy:
-    """Pass-through strategy that logs every step's (acceleration, fallback).
-
-    It removes each decision's hold, so the engine asks on every step.  A
-    step that the wrapped strategy answers with a mode query is logged
-    when the engine resumes it, with the decision ``resume`` returns.
-    """
-
-    def __init__(self, strategy, log):
-        self.strategy = strategy
-        self.update_interval = getattr(strategy, "update_interval", None)
-        self.steps = []
-        self.decision_times = set()
-        self.resumed = 0
-        log.append(self)
-
-    def command(self, *args):
-        decision = self.strategy.command(*args)
-        if isinstance(decision, ModeQuery):
-            return decision
-        return self._logged(decision)
-
-    def resume(self, mode):
-        self.resumed += 1
-        return self._logged(self.strategy.resume(mode))
-
-    def _logged(self, decision):
-        self.steps.append((decision.acceleration, decision.fallback))
-        if getattr(self.strategy, "decision_taken", False):
-            self.decision_times.add(self.strategy.decision_time)
-        return decision._replace(until=0.0, final=False)
-
-
-def run_lengths(steps):
-    """[acceleration, fallback, count] for each run of equal steps."""
-    runs = []
-    for acceleration, fallback in steps:
-        if runs and runs[-1][:2] == [acceleration, fallback]:
-            runs[-1][2] += 1
-        else:
-            runs.append([acceleration, fallback, 1])
-    return runs
-
-
-class TestStrategyCorpus:
-    def test_per_step_commands_match_the_recording(self):
-        corpus = json.loads(CORPUS.read_text())
-        model = reference_generator()
-        config = SimConfig(**corpus["sim"])
-        log = []
-        run_paired_experiments(
-            config,
-            model,
-            lambda: RecordingStrategy(
-                SoftYieldStrategy(SoftYieldParams(), config.crossing_length), log
-            ),
-            lambda: RecordingStrategy(HumanDriver(model, HumanDriverParams()), log),
-            corpus["n_experiments"],
-            corpus["master_seed"],
-        )
-        candidates, baselines = log[0::2], log[1::2]
-        # Arrivals are dense enough that some soft-yield plans get revised.
-        assert any(len(rec.decision_times) > 1 for rec in candidates)
-        assert any(flag for rec in log for _, flag in rec.steps)
-        # The baseline's updates went through the engine's batched search.
-        assert any(rec.resumed for rec in baselines)
-        recorded = [
-            {"candidate": run_lengths(c.steps), "baseline": run_lengths(b.steps)}
-            for c, b in zip(candidates, baselines)
-        ]
-        assert recorded == corpus["pairs"]

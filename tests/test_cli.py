@@ -529,7 +529,7 @@ class TestSimulate:
         schedule = experiment_schedule(config.sim, config.master_seed, 0)
         result = run_episode(
             config.sim,
-            HumanDriver(model, config.agents.human),
+            HumanDriver(model, config.agents.human, config.sim.free_flow_speed),
             schedule,
             model=model,
             walk_speed_seeds=[
@@ -624,6 +624,14 @@ class TestEvaluate:
     def test_missing_model_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, self._config())
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+
+    def test_human_free_flow_speed_is_an_unknown_key(self, tmp_path, capsys):
+        # The baseline recovers to sim.free_flow_speed; it has no speed of its own.
+        reference_generator().save(tmp_path / "model.json")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"agents": {"human": {"free_flow_speed": 3.0}}}))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "free_flow_speed" in capsys.readouterr().err
 
 
 class TestArgumentHandling:

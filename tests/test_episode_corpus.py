@@ -1,14 +1,14 @@
-"""Integrated episode results pinned bit for bit against a recording.
+"""Engine results and per-step commands pinned against recordings.
 
 ``episode_corpus.json`` holds, for every episode of a few fixed
 configurations, each ``EpisodeResult`` field (floats as ``float.hex``)
 and a SHA-256 of the rows that ``record_trajectory=True`` writes.  The
 episodes run with and without recording, and both must match with
-``==``.  ``strategy_corpus.json`` pins the per-step commands; this file
-pins what the engine integrates from them.
+``==``.  ``strategy_corpus.json`` pins the per-step commands that both
+strategies give over paired episodes, from which the engine integrates.
 
-Re-record (only for a change that moves results on purpose, and name
-it in CHANGES.md):
+Re-record both (only for a change that moves results on purpose, and
+name it in CHANGES.md):
 
     PYTHONPATH=src python3 tests/test_episode_corpus.py
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from functools import partial
 from pathlib import Path
 
@@ -35,9 +36,16 @@ from crossingsim.agents import (
 from crossingsim import sim
 from crossingsim.ingest import reference_generator
 from crossingsim.seeds import derive_seed
-from crossingsim.sim import EpisodeResult, SimConfig, experiment_schedule, run_episode
+from crossingsim.sim import (
+    EpisodeResult,
+    SimConfig,
+    experiment_schedule,
+    run_episode,
+    run_paired_experiments,
+)
 
 CORPUS = Path(__file__).with_name("episode_corpus.json")
+STRATEGY_CORPUS = Path(__file__).with_name("strategy_corpus.json")
 
 # Paired soft-yield / human episodes, as run_paired_experiments runs them.
 PAIRED_CASES = {
@@ -123,8 +131,9 @@ def paired_episodes(case: dict) -> list[dict]:
 
         def baseline(record):
             return run_episode(
-                config, HumanDriver(model, HumanDriverParams()), schedule, model=model,
-                walk_speed_seeds=seeds, walk_speeds=speeds, record_trajectory=record,
+                config, HumanDriver(model, HumanDriverParams(), config.free_flow_speed),
+                schedule, model=model, walk_speed_seeds=seeds, walk_speeds=speeds,
+                record_trajectory=record,
             )
 
         episodes += [first, _both_ways(baseline)[0]]
@@ -169,22 +178,40 @@ def test_episodes_match_the_recording():
 
 class EveryStep:
     """Pass-through strategy that removes each decision's hold, so the
-    engine asks it on every step; ``last`` is the last decision it passed."""
+    engine asks it on every step.
 
-    def __init__(self, strategy):
+    ``steps`` logs every step's (acceleration, fallback).  A step that the
+    wrapped strategy answers with a mode query is logged when the engine
+    resumes it, with the decision ``resume`` returns; ``resumed`` counts
+    those steps.  ``last`` is the last decision passed on, and
+    ``decision_times`` holds every decision time of a soft-yield plan.
+    The wrapper appends itself to ``log`` when one is given.
+    """
+
+    def __init__(self, strategy, log=None):
         self.strategy = strategy
         self.last = None
+        self.steps = []
+        self.decision_times = set()
+        self.resumed = 0
+        if log is not None:
+            log.append(self)
 
     def command(self, *args):
-        return self._every_step(self.strategy.command(*args))
+        decision = self.strategy.command(*args)
+        if decision.__class__ is ModeQuery:
+            return decision
+        return self._every_step(decision)
 
     def resume(self, mode):
+        self.resumed += 1
         return self._every_step(self.strategy.resume(mode))
 
     def _every_step(self, decision):
-        if decision.__class__ is ModeQuery:
-            return decision
         self.last = decision
+        self.steps.append((decision.acceleration, decision.fallback))
+        if getattr(self.strategy, "decision_taken", False):
+            self.decision_times.add(self.strategy.decision_time)
         return decision._replace(until=0.0, final=False)
 
 
@@ -232,7 +259,7 @@ def test_held_decisions_change_no_result(held_case, monkeypatch):
     monkeypatch.setattr(sim, "_last_step", lambda *args: finished.append(args) or last_step(*args))
     model = reference_generator()
     soft_yield = partial(SoftYieldStrategy, SoftYieldParams(), config.crossing_length)
-    human = partial(HumanDriver, model, HumanDriverParams())
+    human = partial(HumanDriver, model, HumanDriverParams(), config.free_flow_speed)
     finals = parked = 0
     for index in range(n):
         schedule = experiment_schedule(config, master, index)
@@ -260,6 +287,75 @@ def test_held_decisions_change_no_result(held_case, monkeypatch):
     assert bool(parked) == parks
 
 
+# Poisson arrivals dense enough that some soft-yield plans get revised.
+STRATEGY_CASE = dict(
+    sim=dict(arrival_mode="poisson", arrival_rate=0.15), master_seed=7, n_experiments=20
+)
+
+
+def strategy_recordings() -> tuple[list[EveryStep], list[EveryStep]]:
+    """The candidate and baseline recorders of STRATEGY_CASE's pairs."""
+    config = SimConfig(**STRATEGY_CASE["sim"])
+    model = reference_generator()
+    log = []
+    run_paired_experiments(
+        config,
+        model,
+        lambda: EveryStep(SoftYieldStrategy(SoftYieldParams(), config.crossing_length), log),
+        lambda: EveryStep(HumanDriver(model, HumanDriverParams(), config.free_flow_speed), log),
+        STRATEGY_CASE["n_experiments"],
+        STRATEGY_CASE["master_seed"],
+    )
+    return log[0::2], log[1::2]
+
+
+def run_lengths(steps):
+    """[acceleration, fallback, count] for each run of equal steps."""
+    runs = []
+    for acceleration, fallback in steps:
+        if runs and runs[-1][:2] == [acceleration, fallback]:
+            runs[-1][2] += 1
+        else:
+            runs.append([acceleration, fallback, 1])
+    return runs
+
+
+def strategy_document(candidates, baselines) -> dict:
+    return {
+        "description": (
+            "Per-step (acceleration, fallback) of SoftYieldStrategy (candidate) and "
+            "HumanDriver (baseline) with default parameters over paired episodes on "
+            "reference_generator(); each run is [acceleration, fallback, steps]."
+        ),
+        **STRATEGY_CASE,
+        "pairs": [
+            {"candidate": run_lengths(c.steps), "baseline": run_lengths(b.steps)}
+            for c, b in zip(candidates, baselines)
+        ],
+    }
+
+
+def test_per_step_commands_match_the_recording():
+    candidates, baselines = strategy_recordings()
+    # Some soft-yield plans get revised, some step flags a fallback, and
+    # the baseline's updates went through the engine's batched search.
+    assert any(len(rec.decision_times) > 1 for rec in candidates)
+    assert any(flag for rec in candidates + baselines for _, flag in rec.steps)
+    assert any(rec.resumed for rec in baselines)
+    recorded = json.loads(STRATEGY_CORPUS.read_text())
+    assert strategy_document(candidates, baselines) == recorded
+
+
+def _compact_json(document) -> str:
+    """``json.dumps`` with indent 1, but each innermost list or object on
+    one line."""
+    return re.sub(
+        r"([\[{])\n\s*([^\[\]{}]*?)\n\s*([\]}])",
+        lambda m: m[1] + re.sub(r",\n\s*", ", ", m[2]) + m[3],
+        json.dumps(document, indent=1),
+    ) + "\n"
+
+
 if __name__ == "__main__":
     document = {
         "description": (
@@ -269,3 +365,4 @@ if __name__ == "__main__":
         "cases": build_corpus(),
     }
     CORPUS.write_text(json.dumps(document, indent=1) + "\n")
+    STRATEGY_CORPUS.write_text(_compact_json(strategy_document(*strategy_recordings())))

@@ -258,7 +258,7 @@ class TestHumanDriverDecisions:
             raise ConditioningError("an observed-block covariance is singular")
 
         monkeypatch.setattr(mixture, "Conditioner", singular)
-        driver = HumanDriver(reference_generator(), HumanDriverParams())
+        driver = HumanDriver(reference_generator(), HumanDriverParams(), 5.0)
         walker = Pedestrian(arrival_time=0.0, side="near", walk_speed=1.3, crossing_length=9.0)
         for clock in (0.0, 1.0):
             decision = driver.command(clock, 20.0, 5.0, [walker])
@@ -396,7 +396,7 @@ class TestBatchedAgainstReference:
             config,
             model,
             partial(SoftYieldStrategy, SoftYieldParams(), config.crossing_length),
-            partial(HumanDriver, model, HumanDriverParams()),
+            partial(HumanDriver, model, HumanDriverParams(), config.free_flow_speed),
             200,
             10004,
         )

@@ -65,6 +65,7 @@ class TestSimConfig:
         [
             dict(dt=0.0),
             dict(trigger_range=-1.0),
+            dict(free_flow_speed=0.0),
             dict(arrival_mode="burst"),
             dict(fixed_count=-1),
             dict(walk_speed_min=2.0, walk_speed_max=1.0),
@@ -118,6 +119,17 @@ class TestFreeFlow:
         cfg = SimConfig(dt=0.01)
         result = run_episode(cfg, NeverBrake(), EMPTY, walk_speeds=[])
         assert result.passing_time == pytest.approx(7.0, abs=cfg.dt)
+
+    def test_human_driver_crosses_an_empty_crossing_at_the_scenario_speed(self):
+        # The vehicle enters at free flow, and the driver recovers toward
+        # the same speed, so with nobody to react to it never speeds up.
+        config = SimConfig(free_flow_speed=3.0)
+        driver = HumanDriver(diagonal_model(), HumanDriverParams(), config.free_flow_speed)
+        result = run_episode(config, driver, EMPTY, walk_speeds=[], record_trajectory=True)
+        expected = (config.trigger_range + 2.0 * config.vehicle_half_length) / 3.0
+        assert result.completed
+        assert abs(result.passing_time - expected) <= config.dt + 1e-12
+        assert max(row.vehicle_speed for row in result.trajectory) <= 3.0
 
 
 class TestConstructedConflicts:
@@ -272,12 +284,12 @@ class TestTrajectoryRecording:
 
 class TestStepGuard:
     def test_coarse_dt_rejected_for_periodic_strategy(self):
-        driver = HumanDriver(diagonal_model(), HumanDriverParams(update_interval=1.0))
+        driver = HumanDriver(diagonal_model(), HumanDriverParams(update_interval=1.0), 5.0)
         with pytest.raises(ValueError):
             run_episode(SimConfig(dt=0.2), driver, EMPTY, walk_speeds=[])
 
     def test_fine_dt_accepted(self):
-        driver = HumanDriver(diagonal_model(), HumanDriverParams(update_interval=1.0))
+        driver = HumanDriver(diagonal_model(), HumanDriverParams(update_interval=1.0), 5.0)
         result = run_episode(SimConfig(dt=0.1), driver, EMPTY, walk_speeds=[])
         assert result.completed
 
@@ -369,7 +381,7 @@ class TestHolds:
         config = SimConfig(fixed_count=3, arrival_rate=0.2)
         schedule = experiment_schedule(config, 11, 0)
         seeds = [derive_seed(11, "walk-0", j) for j in range(len(schedule))]
-        driver = AskedHuman(reference_generator(), HumanDriverParams())
+        driver = AskedHuman(reference_generator(), HumanDriverParams(), config.free_flow_speed)
         result = run_episode(
             config, driver, schedule, model=reference_generator(), walk_speed_seeds=seeds,
             record_trajectory=True,
@@ -411,7 +423,7 @@ class TestExperimentSchedule:
 
 def paired_factories(model):
     candidate = partial(SoftYieldStrategy, SoftYieldParams(), 9.0)
-    baseline = partial(HumanDriver, model, HumanDriverParams())
+    baseline = partial(HumanDriver, model, HumanDriverParams(), SimConfig().free_flow_speed)
     return candidate, baseline
 
 

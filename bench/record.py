@@ -13,6 +13,9 @@ The file holds three things:
 * ``cli_stages``: the wall time of each README pipeline stage, five runs
   each, every run in a fresh interpreter, so the import of the package is
   part of it. The ``import`` stage is ``import crossingsim.cli`` alone.
+  Each stage records its median and quartiles of wall time and the peak
+  resident set size of its own child process (its ``ru_maxrss``; worker
+  processes that ``evaluate --parallel`` starts are not counted).
 
 ``--root`` (default: the checkout holding this script) names the source
 tree that is imported and benchmarked, so the same script can record an
@@ -36,7 +39,7 @@ import time
 from pathlib import Path
 
 FORMAT = "crossingsim-bench"
-VERSION = 1
+VERSION = 2
 HERE = Path(__file__).resolve().parent
 # The timed processes use one BLAS thread, as perfbench/run.py does.
 BLAS_ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -145,12 +148,31 @@ def per_layer(root: Path) -> dict:
     return out
 
 
+def run_stage(name: str, cmd: list[str], env: dict) -> tuple[float, float]:
+    """Wall time (s) and peak RSS (MB) of one stage's child process.
+
+    The child is reaped with ``os.wait4``, whose resource usage is that
+    child's alone, so ``ru_maxrss`` (KiB on Linux) is its own peak.
+    """
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            raise RuntimeError(f"stage {name} exited {proc.returncode}: {err.read().decode()}")
+    return wall, usage.ru_maxrss / 1024.0
+
+
 def cli_stages(root: Path) -> dict:
-    """Wall time of every pipeline stage, each run in a fresh interpreter."""
+    """Wall time and peak RSS of every pipeline stage, each run in a fresh interpreter."""
     src = str((root / "src").resolve())
     env = {**os.environ, **BLAS_ENV}
     env.pop("PYTHONPATH", None)
     walls: dict[str, list[float]] = {name: [] for name, _ in STAGES}
+    rss: dict[str, list[float]] = {name: [] for name, _ in STAGES}
     with tempfile.TemporaryDirectory(prefix="crossingsim-bench-") as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(PIPELINE_CONFIG), encoding="utf-8")
@@ -158,25 +180,21 @@ def cli_stages(root: Path) -> dict:
         for _ in range(REPEATS):
             for name, argv in STAGES:
                 cmd = [sys.executable, "-c", CHILD, src] + ([] if argv is None else argv + common)
-                start = time.perf_counter()
-                done = subprocess.run(cmd, env=env, capture_output=True, text=True)
-                wall = time.perf_counter() - start
-                if done.returncode != 0:
-                    raise RuntimeError(f"stage {name} exited {done.returncode}: {done.stderr}")
+                wall, peak = run_stage(name, cmd, env)
                 walls[name].append(wall)
+                rss[name].append(peak)
         print(f"cli stages: {REPEATS} runs each", file=sys.stderr)
-    return {
-        "config": PIPELINE_CONFIG,
-        "repeats": REPEATS,
-        "stages": {
-            name: {
-                "argv": argv,
-                "median_s": statistics.median(walls[name]),
-                "wall_s": walls[name],
-            }
-            for name, argv in STAGES
-        },
-    }
+    stages = {}
+    for name, argv in STAGES:
+        q1, _, q3 = statistics.quantiles(walls[name], n=4)
+        stages[name] = {
+            "argv": argv,
+            "median_s": statistics.median(walls[name]),
+            "quartiles_s": [q1, q3],
+            "wall_s": walls[name],
+            "peak_rss_mb": rss[name],
+        }
+    return {"config": PIPELINE_CONFIG, "repeats": REPEATS, "stages": stages}
 
 
 def main(argv=None) -> int:

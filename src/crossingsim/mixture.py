@@ -39,7 +39,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -72,8 +72,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # that two models with identical parameters report identical densities in
 # every process.
 _MASS_SEED = 0x63726F73
-# Accepted-draw target of the Monte Carlo box masses.
+# Accepted-draw target of the Monte Carlo box masses.  The draws are
+# counted in chunks of at most _MIN_CHUNK rows, never kept.
 _MASS_DRAWS = 20_000
+# Fewest rows of a Monte Carlo draw block or continuation chunk.
+_MIN_CHUNK = 8192
 
 
 class DegenerateTruncationError(ValueError):
@@ -367,6 +370,44 @@ class _NormalStream:
         return self._rows[start:stop]
 
 
+def _first_block_rows(n_accepted: int) -> int:
+    """Rows of the first draw block for an accepted-draw target of ``n_accepted``."""
+    return max(4 * n_accepted, _MIN_CHUNK)
+
+
+def _rejection_schedule(n_accepted: int, take: Callable[[int, int], int]) -> tuple[int, int]:
+    """The draw schedule of the Monte Carlo kernels, for one component.
+
+    ``take(start, stop)`` handles rows ``start`` to ``stop - 1`` of the
+    component's standard-normal stream and returns how many of them fall
+    inside the box.  The first call takes the first block
+    (:func:`_first_block_rows`).  A component that has accepted fewer
+    than ``n_accepted`` draws continues in chunks scaled to its observed
+    acceptance rate, within a budget of max(200 * n_accepted, 2e6) draws.
+
+    Returns (accepted, drawn).
+
+    Raises:
+        DegenerateTruncationError: fewer than max(2, n_accepted // 200)
+            draws accepted within the budget.
+    """
+    budget = max(200 * n_accepted, 2_000_000)
+    drawn = _first_block_rows(n_accepted)
+    accepted = take(0, drawn)
+    while accepted < n_accepted and drawn < budget:
+        rate = max(accepted / drawn, 1e-3)
+        chunk = int(min(max((n_accepted - accepted) / rate * 1.2, _MIN_CHUNK), 4_000_000))
+        stop = drawn + min(chunk, budget - drawn)
+        accepted += take(drawn, stop)
+        drawn = stop
+    if accepted < max(2, n_accepted // 200):
+        raise DegenerateTruncationError(
+            f"rejection sampling accepted {accepted}/{drawn} draws; "
+            "box mass is too small to estimate"
+        )
+    return accepted, drawn
+
+
 def _first_blocks(
     seeds: Sequence[int], n_accepted: int, dim: int
 ) -> tuple[np.ndarray, list[_NormalStream]]:
@@ -378,8 +419,7 @@ def _first_blocks(
     component that needs more draws.  Both serve every call made with
     them, and the continuation rows they keep are freed with them.
     """
-    rows = max(4 * n_accepted, 8192)
-    blocks = np.empty((len(seeds), rows, dim))
+    blocks = np.empty((len(seeds), _first_block_rows(n_accepted), dim))
     streams = []
     for j, seed in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -429,10 +469,9 @@ def _moments_mc(
     means[j] + chols[j] z with the rows z of ``blocks[j]`` first (see
     :func:`_first_blocks`).  Every accepted draw of that block is kept.
     A component that accepts fewer than ``n_accepted`` continues with the
-    rows of ``streams[j]`` in chunks scaled to its observed acceptance
-    rate, within a budget of max(200 * n_accepted, 2e6) draws.  The mass
-    is accepted / drawn; mean and covariance are those of the accepted
-    draws.
+    rows of ``streams[j]`` as :func:`_rejection_schedule` sets out.  The
+    mass is accepted / drawn; mean and covariance are those of the
+    accepted draws.
 
     The bits are those of drawing each component's rows from its seed
     afresh, shifting them in (n, d) layout and taking ``mean(axis=0)``
@@ -441,26 +480,17 @@ def _moments_mc(
     the same rows are summed in the same order.  Components are taken one
     at a time, so the temporaries hold one block, not K.
     """
-    budget = max(200 * n_accepted, 2_000_000)
     first = blocks.shape[1]
     out = []
     for j in range(means.shape[0]):
-        z = blocks[j]
-        kept, drawn, accepted = [], 0, 0
-        while True:
+        kept = []
+
+        def take(start: int, stop: int) -> int:
+            z = blocks[j] if start == 0 else streams[j].rows(start - first, stop - first)
             kept.append(_accepted_draws(means[j], chols[j], box, z))
-            drawn += z.shape[0]
-            accepted += kept[-1].shape[1]
-            if accepted >= n_accepted or drawn >= budget:
-                break
-            rate = max(accepted / drawn, 1e-3)
-            chunk = int(min(max((n_accepted - accepted) / rate * 1.2, 8192), 4_000_000))
-            z = streams[j].rows(drawn - first, drawn - first + min(chunk, budget - drawn))
-        if accepted < max(2, n_accepted // 200):
-            raise DegenerateTruncationError(
-                f"rejection sampling accepted {accepted}/{drawn} draws; "
-                "box mass is too small to estimate"
-            )
+            return kept[-1].shape[1]
+
+        accepted, drawn = _rejection_schedule(n_accepted, take)
         sample = kept[0] if len(kept) == 1 else np.concatenate(kept, axis=1)
         # numpy sums the rows of an (n, d >= 2) array one after another,
         # as accumulate does, and a single column pairwise, as sum does.
@@ -481,6 +511,34 @@ def _seeded_moments_mc(
     """:func:`_moments_mc` of one component whose draws come from ``seed``."""
     blocks, streams = _first_blocks([seed], n_accepted, mean.shape[0])
     return _moments_mc(mean[None], chol[None], box, n_accepted, blocks, streams)[0]
+
+
+def _box_mass_mc(
+    mean: np.ndarray, chol: np.ndarray, box: TruncationBox, n_accepted: int, seed: int
+) -> float:
+    """``_seeded_moments_mc(mean, chol, box, n_accepted, seed).mass``, counted.
+
+    Follows the same draw schedule over the same stream, so the mass is
+    the same accepted / drawn bit for bit, but takes the rows in chunks of
+    at most 8192 and keeps only the count of those inside the box.  A
+    row's shift mean + chol z is the same whatever chunk holds it.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    chol_t = np.ascontiguousarray(chol.T)
+    z = np.empty((_MIN_CHUNK, mean.shape[0]))
+
+    def count(start: int, stop: int) -> int:
+        inside = 0
+        for lo in range(start, stop, _MIN_CHUNK):
+            chunk = z[: min(stop - lo, _MIN_CHUNK)]
+            rng.standard_normal(out=chunk)
+            shifted = chunk @ chol_t
+            shifted += mean
+            inside += int(np.count_nonzero(_inside(box, shifted)))
+        return inside
+
+    accepted, drawn = _rejection_schedule(n_accepted, count)
+    return accepted / drawn
 
 
 def truncated_moments(
@@ -744,8 +802,12 @@ class GaussianMixture:
         """Per-component probability mass inside the truncation box.
 
         Exact for 1-D or unbounded boxes; otherwise seeded Monte Carlo
-        with 20 000 accepted draws per component.  The result is cached
-        because it normalizes every truncated density evaluation.
+        per component: the share of draws inside the box over every row
+        of a first block of 80 000 draws (4 x ``_MASS_DRAWS``), continued
+        while fewer than 20 000 are inside.  The draws are counted in
+        chunks of at most 8192 rows and never kept, so the transient is
+        one chunk whatever the draw count.  The result is cached because
+        it normalizes every truncated density evaluation.
 
         Raises:
             DegenerateTruncationError: as :func:`truncated_moments`, for
@@ -770,17 +832,16 @@ class GaussianMixture:
                 )
             self._box_masses = masses
             return masses
-        # One component at a time: a block has 4 * _MASS_DRAWS rows.
         chols = self._cholesky_factors()
         masses = np.array(
             [
-                _seeded_moments_mc(
+                _box_mass_mc(
                     self.means[k],
                     chols[k],
                     self.truncation,
                     _MASS_DRAWS,
                     derive_seed(_MASS_SEED, "box-mass", k),
-                ).mass
+                )
                 for k in range(self.n_components)
             ]
         )

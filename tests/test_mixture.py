@@ -6,6 +6,7 @@ independent implementation for everything that has one there.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -330,10 +331,13 @@ class TestTruncatedMomentsMonteCarlo:
         np.testing.assert_array_equal(a.covariance, b.covariance)
 
     def test_hopeless_box_raises(self):
+        # In both kernels: the moments and the counted mass.
         comp = GaussianComponent(np.zeros(2), np.eye(2))
         box = TruncationBox(np.array([12.0, 12.0]), np.array([13.0, 13.0]))
         with pytest.raises(DegenerateTruncationError):
             truncated_moments(comp, box, method="mc", n_accepted=1_000, seed=0)
+        with pytest.raises(DegenerateTruncationError):
+            mixture._box_mass_mc(comp.mean, np.eye(2), box, 1_000, 0)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_stacked_kernel_matches_per_component_reference(self, dim):
@@ -400,6 +404,46 @@ class TestTruncatedMomentsMonteCarlo:
             reference_moments_mc(means[1], np.eye(2), box, 1_000, 5)
         with pytest.raises(DegenerateTruncationError):
             mixture._moments_mc(means, chols, box, 1_000, *mixture._first_blocks([4, 5], 1_000, 2))
+
+
+class TestCountedBoxMass:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_counted_mass_equals_the_moments_kernel_bit_for_bit(self, dim):
+        # First coordinates from 2.3 standard deviations below the orthant
+        # to 4 above, the others 4 above: box masses from about 0.01 to 1.
+        # Masses below n_accepted / 8192 continue past the first block.
+        rng = np.random.Generator(np.random.PCG64(80 + dim))
+        n_accepted = 1_000
+        box = TruncationBox.positive_orthant(dim)
+        offsets = np.array([-2.3, -1.5, -0.5, 0.0, 1.5, 4.0])
+        covs = np.array(
+            [a @ a.T + 0.2 * np.eye(dim) for a in rng.uniform(-1, 1, (offsets.size, dim, dim))]
+        )
+        sds = np.sqrt(np.diagonal(covs, axis1=1, axis2=2))
+        means = 4.0 * sds
+        means[:, 0] = offsets * sds[:, 0]
+        chols = np.linalg.cholesky(covs)
+        masses = []
+        for j in range(offsets.size):
+            seed = derive_seed(31, "counted-mass", j)
+            got = mixture._box_mass_mc(means[j], chols[j], box, n_accepted, seed)
+            want = mixture._seeded_moments_mc(means[j], chols[j], box, n_accepted, seed).mass
+            assert got == want
+            masses.append(got)
+        assert min(masses) < 0.03 and max(masses) > 0.97
+        assert sum(m < n_accepted / 8192 for m in masses) >= 1
+
+    def test_four_dim_box_masses_hold_one_chunk_not_a_block(self):
+        # The first block alone is 80 000 x 4 doubles (2.56 MB); a chunk
+        # of 8192 rows is 0.26 MB.
+        model = reference_generator()
+        tracemalloc.start()
+        try:
+            model.component_box_masses()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestMixtureConstruction:

@@ -284,6 +284,12 @@ def reference_moments_mc(mean, cov, box, n_accepted, seed):
     )
 
 
+def streams(seeds, n_accepted, dim):
+    """One _NormalStream per seed, as EM builds them for a restart."""
+    first = mixture._first_block_rows(n_accepted)
+    return [mixture._NormalStream(seed, first, dim) for seed in seeds]
+
+
 def assert_same_moments(got, want):
     assert got.mass == want.mass
     np.testing.assert_array_equal(got.mean, want.mean)
@@ -330,6 +336,14 @@ class TestTruncatedMomentsMonteCarlo:
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.covariance, b.covariance)
 
+    @pytest.mark.parametrize("n_accepted", [0, -5, 2.5, True])
+    def test_accepted_draw_target_must_be_a_positive_integer(self, n_accepted):
+        comp = GaussianComponent(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="n_accepted"):
+            truncated_moments(
+                comp, TruncationBox.positive_orthant(2), method="mc", n_accepted=n_accepted
+            )
+
     def test_hopeless_box_raises(self):
         # In both kernels: the moments and the counted mass.
         comp = GaussianComponent(np.zeros(2), np.eye(2))
@@ -353,8 +367,7 @@ class TestTruncatedMomentsMonteCarlo:
         covs = np.array([a @ a.T + 0.2 * np.eye(dim) for a in rng.uniform(-1, 1, (6, dim, dim))])
         seeds = [derive_seed(17, "kernel", j) for j in range(6)]
         got = mixture._moments_mc(
-            means, np.linalg.cholesky(covs), box, n_accepted,
-            *mixture._first_blocks(seeds, n_accepted, dim),
+            means, np.linalg.cholesky(covs), box, n_accepted, streams(seeds, n_accepted, dim)
         )
         continued = 0
         for j in range(6):
@@ -370,8 +383,8 @@ class TestTruncatedMomentsMonteCarlo:
 
     @pytest.mark.parametrize("dim", [1, 2, 4])
     def test_stacked_kernel_reuses_its_blocks_across_calls(self, dim):
-        # EM passes one _first_blocks result to every iteration of a
-        # restart.  The means move down and then back up between the three
+        # EM passes one list of streams to every iteration of a restart.
+        # The means move down and then back up between the three
         # calls here, so a continued component first needs more
         # continuation rows than it has kept and then fewer.
         rng = np.random.Generator(np.random.PCG64(60 + dim))
@@ -385,11 +398,11 @@ class TestTruncatedMomentsMonteCarlo:
         means = rng.uniform(-0.5, 0.5, size=(5, dim))
         means[:, 0] = -np.sqrt(covs[:, 0, 0]) * np.array([0.5, 1.3, 1.5, 1.8, 2.0])
         seeds = [derive_seed(23, "kernel-reuse", j) for j in range(5)]
-        blocks, streams = mixture._first_blocks(seeds, n_accepted, dim)
+        kept = streams(seeds, n_accepted, dim)
         continued = 0
         for shift in (0.0, -0.4, 0.6):
             means = means + np.r_[shift, np.zeros(dim - 1)]
-            got = mixture._moments_mc(means, chols, box, n_accepted, blocks, streams)
+            got = mixture._moments_mc(means, chols, box, n_accepted, kept)
             for j in range(5):
                 want = reference_moments_mc(means[j], covs[j], box, n_accepted, seeds[j])
                 assert_same_moments(got[j], want)
@@ -403,7 +416,50 @@ class TestTruncatedMomentsMonteCarlo:
         with pytest.raises(DegenerateTruncationError):
             reference_moments_mc(means[1], np.eye(2), box, 1_000, 5)
         with pytest.raises(DegenerateTruncationError):
-            mixture._moments_mc(means, chols, box, 1_000, *mixture._first_blocks([4, 5], 1_000, 2))
+            mixture._moments_mc(means, chols, box, 1_000, streams([4, 5], 1_000, 2))
+
+
+class TestNormalStream:
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_rows_follow_one_fresh_draw_however_they_are_asked_for(self, dim):
+        # The first block, then a short continuation, then a longer one
+        # that grows it: all are slices of one draw from the seed.
+        first, short, long = 8192, 3000, 20000
+        stream = mixture._NormalStream(9, first, dim)
+        block = stream.rows(0, first).copy()
+        want = np.random.Generator(np.random.PCG64(9)).standard_normal((first + long, dim))
+        past = want[first:]
+        np.testing.assert_array_equal(block, want[:first])
+        np.testing.assert_array_equal(stream.rows(first, first + short), past[:short])
+        np.testing.assert_array_equal(stream.rows(first, first + long), past)
+        np.testing.assert_array_equal(stream.rows(first + short, first + long), past[short:])
+        np.testing.assert_array_equal(stream.rows(0, first), block)
+
+    def test_the_first_block_is_read_whole(self):
+        # A stream built for one accepted-draw target and read with another
+        # would count draws it did not average over.
+        stream = mixture._NormalStream(9, mixture._first_block_rows(1_000), 2)
+        with pytest.raises(ValueError, match="read whole"):
+            stream.rows(0, mixture._first_block_rows(3_000))
+
+    def test_a_continued_call_does_not_copy_the_first_block(self):
+        # The first block is 80 000 x 4 doubles, B = 2.56 MB.  At box mass
+        # 0.15 it accepts about 12 000 draws, so the schedule continues with
+        # one chunk of about (20 000 - 12 000) / 0.15 * 1.2 = 64 000 rows,
+        # C = 2.05 MB.  The call holds those rows and their shift (2C) and
+        # accepted draws and masks well under one block; a stream that
+        # copied its block into its continuation would hold B more.
+        block, continuation = 80_000 * 4 * 8, 64_000 * 4 * 8
+        box = TruncationBox(np.r_[norm.ppf(0.85), np.full(3, -np.inf)], np.full(4, np.inf))
+        stream = mixture._NormalStream(1, mixture._first_block_rows(20_000), 4)
+        tracemalloc.start()
+        try:
+            got = mixture._moments_mc(np.zeros((1, 4)), np.eye(4)[None], box, 20_000, [stream])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.14 < got[0].mass < 0.16
+        assert peak < block + 2 * continuation
 
 
 class TestCountedBoxMass:
@@ -427,7 +483,10 @@ class TestCountedBoxMass:
         for j in range(offsets.size):
             seed = derive_seed(31, "counted-mass", j)
             got = mixture._box_mass_mc(means[j], chols[j], box, n_accepted, seed)
-            want = mixture._seeded_moments_mc(means[j], chols[j], box, n_accepted, seed).mass
+            want = truncated_moments(
+                GaussianComponent(means[j], covs[j]), box, method="mc",
+                n_accepted=n_accepted, seed=seed,
+            ).mass
             assert got == want
             masses.append(got)
         assert min(masses) < 0.03 and max(masses) > 0.97

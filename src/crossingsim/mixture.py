@@ -33,6 +33,8 @@ more.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import sys
@@ -120,7 +122,7 @@ class TruncationBox:
         self.upper.setflags(write=False)
         for name, bounds in (("_finite_lower", lower), ("_finite_upper", upper)):
             finite = np.flatnonzero(np.isfinite(bounds))
-            object.__setattr__(self, name, tuple(zip(finite.tolist(), bounds[finite])))
+            object.__setattr__(self, name, tuple(zip(finite.tolist(), bounds[finite].tolist())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncationBox):
@@ -691,6 +693,7 @@ class GaussianMixture:
         self._box_masses: Optional[np.ndarray] = None
         self._box_mass: Optional[float] = None
         self._conditioners: dict[tuple, Conditioner] = {}
+        self._marginals: dict[tuple, GaussianMixture] = {}
 
     @classmethod
     def _trusted(
@@ -718,6 +721,7 @@ class GaussianMixture:
         model._box_masses = None
         model._box_mass = None
         model._conditioners = {}
+        model._marginals = {}
         return model
 
     # -- basic introspection ------------------------------------------------
@@ -897,17 +901,22 @@ class GaussianMixture:
         """Marginal mixture over ``dims``, in the order given.
 
         Weights carry over unchanged; under truncation the box is sliced
-        to the retained dimensions.
+        to the retained dimensions.  The marginal for each ``dims`` is
+        built on first use and cached on the model.
         """
         idx = _dim_index(dims, self.dim, "dims")
-        box = self.truncation.sliced(idx) if self.truncation is not None else None
-        return GaussianMixture(
-            self.weights.copy(),
-            self.means[:, idx],
-            self.covariances[np.ix_(range(self.n_components), idx, idx)],
-            truncation=box,
-            fit_seed=self.fit_seed,
-        )
+        key = tuple(idx.tolist())
+        marginal = self._marginals.get(key)
+        if marginal is None:
+            box = self.truncation.sliced(idx) if self.truncation is not None else None
+            marginal = self._marginals[key] = GaussianMixture(
+                self.weights.copy(),
+                self.means[:, idx],
+                self.covariances[np.ix_(range(self.n_components), idx, idx)],
+                truncation=box,
+                fit_seed=self.fit_seed,
+            )
+        return marginal
 
     def condition(
         self,
@@ -937,17 +946,23 @@ class GaussianMixture:
 
         Under truncation, rejected draws are regenerated (component
         re-picked each round) so the accepted sample follows the
-        box-renormalized mixture exactly.
+        box-renormalized mixture exactly.  One row of a 1-D mixture is
+        drawn in Python floats; it makes the array path's generator calls
+        (one uniform for the component, then one normal, per round), so it
+        returns the same bits.
 
         Raises:
+            ValueError: ``count`` is not a nonnegative integer.
             RuntimeError: acceptance rate below 1e-6 after a bounded
                 number of attempts.
         """
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(f"count must be a nonnegative integer, got {count!r}")
         if count == 0:
             return np.empty((0, self.dim))
         rng = np.random.Generator(np.random.PCG64(seed))
+        if count == 1 and self.dim == 1:
+            return np.array([[self._draw_scalar(rng)]])
         chols = self._cholesky_factors()
         # Component picks as Generator.choice(p=weights) makes them, from
         # the same uniforms, without its per-call validation of p.
@@ -973,6 +988,23 @@ class GaussianMixture:
                     f"after {drawn} draws"
                 )
         return out
+
+    def _draw_scalar(self, rng: np.random.Generator) -> float:
+        """One draw of a 1-D mixture: :meth:`sample`'s loop at one row."""
+        cdf = list(itertools.accumulate(self.weights.tolist()))  # as cumsum
+        cdf = [c / cdf[-1] for c in cdf]
+        means = self.means[:, 0].tolist()
+        sds = self._cholesky_factors()[:, 0, 0].tolist()
+        # An infinite bound passes every finite draw, as _inside skips it.
+        lo, hi = (-math.inf, math.inf) if self.truncation is None else (
+            float(self.truncation.lower[0]), float(self.truncation.upper[0])
+        )
+        for _ in range(1_000_000):
+            k = bisect.bisect_right(cdf, rng.random())  # searchsorted(side="right")
+            x = means[k] + sds[k] * rng.standard_normal()
+            if lo <= x <= hi:
+                return x
+        raise RuntimeError("truncation acceptance rate 0.00e+00 below 1e-6 after 1000000 draws")
 
     # -- serialization --------------------------------------------------------
 
@@ -1155,9 +1187,15 @@ class Conditioner:
         last = self._last
         if last is not None and last[0] == key:
             return last[1]
-        if not np.isfinite(vals).all():
+        # The checks run on Python floats: numpy calls cost more on a 2-vector.
+        values = vals.tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError(bad)
-        if self._obs_box is not None and not self._obs_box.contains(vals):
+        box = self._obs_box
+        if box is not None and not (
+            all(values[i] >= bound for i, bound in box._finite_lower)
+            and all(values[i] <= bound for i, bound in box._finite_upper)
+        ):
             raise ValueError("observed values lie outside the truncation box")
         projected = np.einsum("kij,kj->ki", self._projection, vals - self._obs_means)
         white = projected[:, self._n_free :]

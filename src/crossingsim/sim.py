@@ -397,10 +397,11 @@ def _episode(
         gap -= speed * dt
         any_finished = False
         for ped in active:
-            progress = min(ped.progress + ped.walk_speed * dt, crossing_length)
-            ped.progress = progress
-            if progress >= crossing_length:
+            progress = ped.progress + ped.walk_speed * dt
+            if progress >= crossing_length:  # min(progress, crossing_length)
+                progress = crossing_length
                 any_finished = True
+            ped.progress = progress
         step += 1
         clock = step * dt
 

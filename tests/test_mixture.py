@@ -741,6 +741,20 @@ class TestMarginalize:
             with pytest.raises(ValueError):
                 model.marginalize(dims)
 
+    def test_each_marginal_is_built_once(self):
+        model = random_mixture(
+            np.random.Generator(np.random.PCG64(9)),
+            dim=3,
+            truncation=TruncationBox.positive_orthant(3),
+        )
+        first = model.marginalize([2, 0])
+        assert model.marginalize(np.array([2, 0])) is first
+        assert model.marginalize((2,)) is model.marginalize([2])
+        assert model.marginalize([0, 2]) is not first
+        for dims in ([], [2, 2], [3]):
+            with pytest.raises(ValueError):
+                model.marginalize(dims)
+
 
 class TestCondition:
     def test_hand_computed_bivariate(self):
@@ -907,6 +921,17 @@ class TestConditioner:
         for values in [[0.5], [0.5, 0.5, 0.5], [0.5, math.inf], [0.5, -0.1]]:
             with pytest.raises(ValueError):
                 conditioner(values)
+        # A box with finite upper bounds: the bound itself lies inside.
+        box = TruncationBox(np.array([-np.inf, 0.0, -1.0]), np.array([2.0, np.inf, 1.0]))
+        bounded = Conditioner(
+            random_mixture(np.random.Generator(np.random.PCG64(3013)), dim=3, truncation=box),
+            [0, 2],
+        )
+        assert bounded([2.0, 1.0]).truncation == box.sliced([1])
+        assert bounded([-50.0, -1.0]).dim == 1
+        for values in [[2.0 + 1e-12, 0.0], [0.0, 1.5], [0.0, -1.5], [math.nan, 0.0]]:
+            with pytest.raises(ValueError):
+                bounded(values)
 
 
     @given(data=st.data())
@@ -1037,6 +1062,83 @@ class TestSampling:
     def test_zero_count(self):
         model = GaussianMixture(np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1, 1)))
         assert model.sample(0, seed=0).shape == (0, 1)
+        assert model.sample(np.int64(2), seed=0).shape == (2, 1)
+
+    @pytest.mark.parametrize("count", [-1, True, False, 2.5, 1.0, "3", None])
+    def test_count_must_be_a_nonnegative_integer(self, count):
+        model = GaussianMixture(np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1, 1)))
+        with pytest.raises(ValueError, match="count must be a nonnegative integer"):
+            model.sample(count, seed=0)
+
+    def test_one_row_draw_equals_the_array_loop(self):
+        """sample(1, seed) of a 1-D mixture: the array loop's row, bit for bit."""
+
+        def array_sample(model, count, seed):
+            # The array loop of GaussianMixture.sample, which every count
+            # above one and every dimension above one still runs.
+            rng = np.random.Generator(np.random.PCG64(seed))
+            chols = np.linalg.cholesky(model.covariances)
+            cdf = model.weights.cumsum()
+            cdf /= cdf[-1]
+            out = np.empty((count, model.dim))
+            filled = 0
+            while filled < count:
+                need = count - filled
+                idx = cdf.searchsorted(rng.random(need), side="right")
+                z = rng.standard_normal((need, model.dim))
+                pts = model.means[idx] + np.einsum("nij,nj->ni", chols[idx], z)
+                if model.truncation is not None:
+                    pts = pts[model.truncation.contains(pts)]
+                out[filled : filled + pts.shape[0]] = pts
+                filled += pts.shape[0]
+            return out
+
+        rng = np.random.Generator(np.random.PCG64(1011))
+        seen = {"none": 0, "lower": 0, "upper": 0, "window": 0, "weight 0": 0}
+        lowest = 1.0
+        pairs = 0
+        while pairs < 2000:
+            k = int(rng.integers(1, 5))
+            weights = rng.dirichlet(np.ones(k))
+            if k > 1 and rng.random() < 0.3:
+                weights[int(rng.integers(k))] = 0.0
+                weights /= weights.sum()
+            means = rng.uniform(-3.0, 3.0, size=(k, 1))
+            sds = rng.uniform(0.2, 2.0, size=k)
+            kind = ("none", "lower", "upper", "window")[pairs % 4]
+            edge = float(rng.uniform(-4.0, 4.0))
+            lower, upper = {
+                "none": (None, None),
+                "lower": (edge, np.inf),
+                "upper": (-np.inf, edge),
+                "window": (edge, edge + float(rng.uniform(0.02, 3.0))),
+            }[kind]
+            box = None if lower is None else TruncationBox(np.array([lower]), np.array([upper]))
+            model = GaussianMixture(weights, means, (sds**2)[:, None, None], truncation=box)
+            acceptance = model.box_mass()
+            if acceptance < 0.015:  # keep the rejection rounds few enough to run fast
+                continue
+            lowest = min(lowest, acceptance)
+            seen[kind] += 1
+            seen["weight 0"] += bool((weights == 0.0).any())
+            for seed in rng.integers(0, 2**63, size=5):
+                got = model.sample(1, int(seed))
+                want = array_sample(model, 1, int(seed))
+                assert got.shape == want.shape == (1, 1)
+                assert got.tobytes() == want.tobytes()  # same bits, same sign of zero
+            pairs += 5
+        assert lowest < 0.025, lowest
+        assert min(seen.values()) >= 50, seen
+
+    def test_one_row_draw_gives_up_like_the_array_loop(self):
+        far = GaussianMixture(
+            np.array([1.0]),
+            np.zeros((1, 1)),
+            np.ones((1, 1, 1)),
+            truncation=TruncationBox(np.array([40.0]), np.array([np.inf])),
+        )
+        with pytest.raises(RuntimeError, match="below 1e-6 after 1000000 draws"):
+            far.sample(1, seed=0)
 
     @pytest.mark.parametrize("count", [1, 2, 7, 500])
     def test_same_draws_as_generator_choice(self, count):

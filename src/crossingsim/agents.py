@@ -86,7 +86,7 @@ class ArrivalSchedule:
 
 
 def _coin_sides(rng: np.random.Generator, count: int) -> tuple[str, ...]:
-    return tuple(SIDES[int(b)] for b in rng.integers(0, 2, size=count))
+    return tuple([SIDES[b] for b in rng.integers(0, 2, size=count).tolist()])
 
 
 def sample_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSchedule:
@@ -144,7 +144,8 @@ class Pedestrian:
     The vehicle path sits at lateral coordinate 0, i.e. halfway across
     the crossing (this keeps near/far sides exact mirror images).
     Progress runs from 0 to crossing_length; near-side walkers move in
-    +lateral direction, far-side walkers in -lateral.
+    +lateral direction, far-side walkers in -lateral.  The engine steps
+    progress at the constant walk speed.
     """
 
     arrival_time: float
@@ -178,13 +179,6 @@ class Pedestrian:
     @property
     def finished(self) -> bool:
         return self.progress >= self.crossing_length
-
-    def past_path(self, half_width: float) -> bool:
-        """True once the pedestrian can no longer meet the vehicle body."""
-        return self.progress > 0.5 * self.crossing_length + half_width
-
-    def advance(self, dt: float) -> None:
-        self.progress = min(self.progress + self.walk_speed * dt, self.crossing_length)
 
 
 # ---------------------------------------------------------------------------

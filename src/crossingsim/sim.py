@@ -282,8 +282,9 @@ def _episode(
     clock_start: Optional[float] = None
     deadline = lead * dt + config.horizon
 
-    # Loop invariants: every step below repeats the arithmetic of
-    # Pedestrian.advance, Pedestrian.past_path and detect_crash's window.
+    # Loop invariants.  Each step walks every pedestrian at its constant
+    # speed up to the far kerb; one is visible until its progress passes
+    # path_edge, where it can no longer meet the vehicle body.
     command = strategy.command
     until, final = 0.0, False  # the hold of the decision last returned
     shown = 0  # spawn count at the last look within detection range

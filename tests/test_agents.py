@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pins
+from pins import WALK_BOUNDS
 from crossingsim.agents import (
     ArrivalSchedule,
     HumanDriver,
@@ -21,9 +23,7 @@ from crossingsim.agents import (
     select_governing,
     soft_yield_decide,
 )
-from crossingsim.ingest import reference_generator
 from crossingsim.mixture import GaussianMixture, TruncationBox, conditional_modes
-from crossingsim.sim import SimConfig
 
 
 def diagonal_model(dim=4, means=(0.1, 5.0, 1.3, 0.4), sds=(0.03, 0.5, 0.2, 0.1)):
@@ -114,31 +114,19 @@ class TestPedestrian:
         p = ped(1.5)
         assert p.lateral_position == -4.5
         assert p.lateral_gap == 4.5
-        p.advance(3.0)  # 4.5 m walked: exactly on the vehicle path line
+        p.progress = 4.5  # exactly on the vehicle path line
         assert p.lateral_position == 0.0
         assert p.lateral_gap == 0.0
-        p.advance(3.0)
+        p.progress = 9.0
         assert p.lateral_position == 4.5
         assert p.finished
 
     def test_far_side_mirrors_near(self):
         near, far = ped(1.0, side="near"), ped(1.0, side="far")
-        for _ in range(4):
+        for step in range(4):
+            near.progress = far.progress = 1.3 * step
             assert far.lateral_position == -near.lateral_position
             assert far.lateral_gap == near.lateral_gap
-            near.advance(1.3)
-            far.advance(1.3)
-
-    def test_past_path_needs_body_clearance(self):
-        p = ped(1.0, progress=5.0)
-        assert not p.past_path(half_width=1.0)  # 5.0 <= 4.5 + 1.0
-        p.advance(0.6)
-        assert p.past_path(half_width=1.0)
-
-    def test_advance_clamps_at_far_kerb(self):
-        p = ped(2.0, crossing_length=3.0)
-        p.advance(10.0)
-        assert p.progress == 3.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -149,51 +137,16 @@ class TestPedestrian:
             Pedestrian(0.0, "near", 1.0, 9.0, progress=9.5)
 
 
-# (range, speed, seed, walk speed, fallback) on the reference model,
-# recorded from the earlier implementation that marginalized the model to
-# (1/R, v, v_p) and conditioned the marginal on every call.  Moving
-# vehicles, stopped vehicles (range alone is observed) and vehicles at or
-# past the line (fallback to the v_p marginal).
-WALK_SPEED_CORPUS = [
-    (45.0, 5.0, 101, 0.797123278199449, False),
-    (30.0, 5.0, 102, 1.6151508660534597, False),
-    (22.5, 4.2, 103, 0.9966395494018145, False),
-    (15.0, 3.1, 104, 1.2010859913272296, False),
-    (9.0, 2.4, 105, 1.6910583462378788, False),
-    (5.5, 1.7, 106, 1.115524691815262, False),
-    (3.0, 0.9, 107, 0.5817845321809842, False),
-    (1.2, 0.4, 108, 1.2111510720329437, False),
-    (60.0, 8.0, 109, 1.4310720294749957, False),
-    (12.0, 6.5, 110, 1.5108441555039172, False),
-    (0.5, 5.0, 111, 1.6142747594097084, False),
-    (28.0, 0.05, 112, 1.1381939180960052, False),
-    (30.0, 0.0, 201, 1.1057826202065189, False),
-    (12.0, 0.0, 202, 1.2290092207079872, False),
-    (4.0, 0.0, 203, 1.0037319274123637, False),
-    (0.8, 0.0, 204, 1.3112055441737638, False),
-    (0.0, 5.0, 301, 0.8948233279499757, True),
-    (-1.0, 4.0, 302, 1.2666140513363933, True),
-    (-4.9, 0.0, 303, 1.1518018313955536, True),
-    (-2.5, 2.2, 304, 1.3593933122493316, True),
-]
-
-# The default scenario's walk-speed clamp (SimConfig.walk_speed_min/max),
-# under which WALK_SPEED_CORPUS was recorded.
-WALK_BOUNDS = (SimConfig().walk_speed_min, SimConfig().walk_speed_max)
-
-
-@pytest.fixture(scope="module")
-def reference_model():
-    return reference_generator()
+# (range, speed, seed, walk speed, fallback) rows of walk_speed_corpus.json.
+WALK_SPEED_ROWS = [(*inputs, *output) for inputs, output in pins.WALK_SPEEDS.rows()]
 
 
 class TestDecideWalkSpeed:
-    @pytest.mark.parametrize("vehicle_range,vehicle_speed,seed,speed,fallback", WALK_SPEED_CORPUS)
-    def test_recorded_decisions(
-        self, reference_model, vehicle_range, vehicle_speed, seed, speed, fallback
-    ):
-        got = decide_walk_speed(reference_model, vehicle_range, vehicle_speed, seed, WALK_BOUNDS)
-        assert got == (speed, fallback)
+    @pytest.mark.parametrize("vehicle_range,vehicle_speed,seed,speed,fallback", WALK_SPEED_ROWS)
+    def test_recorded_decisions(self, vehicle_range, vehicle_speed, seed, speed, fallback):
+        inputs = [vehicle_range, vehicle_speed, seed]
+        got = pins.WALK_SPEEDS.compute(inputs)
+        assert pins.WALK_SPEEDS.agrees(inputs, [speed, fallback], got)
 
     def test_deterministic(self):
         model = diagonal_model()

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp, ndtr
 from scipy.stats import multivariate_normal, norm, truncnorm
 
+import pins
 from crossingsim import mixture
 from crossingsim.mixture import (
     Conditioner,
@@ -1416,48 +1417,14 @@ class TestSelectComponents:
         with pytest.raises(ValueError):
             select_components(data, [40, 50], FitConfig(n_components=1))
 
-    # Four-dimensional truncated sweeps of reference-generator rows, K = 1..3:
-    # (K, BIC, n_iterations, converged, restart_index, reinit_events) per K,
-    # recorded from the EM that drew fresh moment samples on every iteration.
-    TRUNCATED_CORPUS = {
-        1: [
-            (1, 507.6101368998008, 50, False, 1, []),
-            (2, -176.81068497530237, 50, False, 0, []),
-            (3, -580.7790565714688, 47, True, 1, []),
-        ],
-        3: [
-            (1, 464.918000454576, 50, False, 0, []),
-            (2, -179.99872249618926, 50, False, 1, []),
-            (3, -559.765197925255, 46, True, 0, []),
-        ],
-    }
-
-    @pytest.mark.parametrize("seed", sorted(TRUNCATED_CORPUS))
-    def test_truncated_sweep_matches_recorded_corpus(self, seed, monkeypatch):
-        diagnostics = {}
-
-        def recording_em_fit(data, config, box=None):
-            model, diag = em_fit(data, config, box)
-            diagnostics[config.n_components] = diag
-            return model, diag
-
-        monkeypatch.setattr(mixture, "em_fit", recording_em_fit)
-        rows = reference_generator().sample(600, seed=seed)
-        config = FitConfig(
-            n_components=1, truncation_mode="truncated", max_iterations=50,
-            restarts=2, seed=seed, mc_moment_draws=2000,
-        )
-        result = select_components(rows, [1, 2, 3], config)
-        assert [p.n_components for p in result.curve] == [1, 2, 3]
-        for point, (k, value, iterations, converged, restart, reinits) in zip(
-            result.curve, self.TRUNCATED_CORPUS[seed]
-        ):
-            diag = diagnostics[k]
-            assert point.bic_value == pytest.approx(value, rel=1e-9, abs=0.0)
-            assert diag.n_iterations == iterations
-            assert diag.converged == converged
-            assert diag.restart_index == restart
-            assert diag.reinit_events == reinits
+    # Four-dimensional truncated sweeps of reference-generator rows, K = 1..3,
+    # against truncated_corpus.json: BIC to relative 1e-9, the rest with ==.
+    @pytest.mark.parametrize("seed", [seed for seed, _ in pins.TRUNCATED_SWEEPS.rows()])
+    def test_truncated_sweep_matches_recorded_corpus(self, seed):
+        recorded = dict(pins.TRUNCATED_SWEEPS.rows())[seed]
+        computed = pins.TRUNCATED_SWEEPS.compute(seed)
+        assert [row[0] for row in computed] == [1, 2, 3]
+        assert pins.TRUNCATED_SWEEPS.agrees(seed, recorded, computed)
 
     def test_bad_k_range(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import pins
 from crossingsim import mixture, sim
 from crossingsim.agents import (
     HumanDriver,
@@ -28,18 +29,12 @@ from crossingsim.agents import (
 )
 from crossingsim.ingest import reference_generator
 from crossingsim.mixture import (
-    Conditioner,
     ConditioningError,
     DegenerateTruncationError,
     GaussianMixture,
     TruncationBox,
     conditional_mode,
     conditional_modes,
-)
-from crossingsim.scenario import (
-    OBS_INV_RANGE,
-    OBS_INV_TIME_ADVANTAGE,
-    OBS_WALK_SPEED,
 )
 
 # ---------------------------------------------------------------------------
@@ -192,66 +187,31 @@ class TestConditionalModeErrors:
 # ---------------------------------------------------------------------------
 
 # (1/R, v_p, 1/T_adv) conditioning points met by the human baseline on the
-# reference model, with the desired speed that the grid-plus-golden-section
-# search returned for each.
-HUMAN_CORPUS = [
-    (0.06097272378999361, 0.8625492972379283, 8.279081456158707, 0.0),
-    (0.039603960396039604, 0.6950572829634454, 2.108430138553845, 2.3322457644546355),
-    (0.09219697554944506, 0.9429776719769367, 1.41301082196614, 2.6513587168296837),
-    (0.052819723285501614, 1.2132265809555502, 1.3125483585929405, 2.954459927447618),
-    (0.18492991269252632, 0.9816423601160719, 0.5905408362050523, 3.1736015557242707),
-    (0.13118836791969438, 1.355179200779614, 0.7475025148662438, 4.526552438335399),
-    (0.1021493338161789, 0.9947417902416787, 0.7440509730134054, 4.6560492523299475),
-    (0.11341078696216045, 1.1508720008716853, 0.6034448733398271, 4.829892950236397),
-    (0.06746789376019245, 0.5974334371508772, 0.5610529214229277, 5.102319395782124),
-    (0.05025939289328012, 1.0684129688960875, 0.8028623948730367, 5.187265159204621),
-    (0.0900139310781507, 0.9053663129998071, 0.385821445311856, 5.2829406400472045),
-    (0.07231114930714092, 1.1856449850506605, 0.5619662805435746, 5.368409779647109),
-    (0.08384920618638937, 1.4245707750132033, 0.46791298504534085, 5.511322493047256),
-    (0.08714177172416086, 1.5784675647198276, 0.472709176487147, 5.551246273368231),
-    (0.07865912265320812, 1.319117343450344, 0.3724446338406214, 5.702496868938292),
-    (0.039603960396039604, 1.1435702417318325, 0.4842719801425047, 5.879923411829849),
-    (0.039603960396039604, 1.2132265809555502, 0.43651301214655747, 7.509863188621292),
-    (0.046652299227247875, 0.8445567130086167, 0.22534734838559387, 8.085113832281438),
-    (0.039603960396039604, 1.4523190444149083, 0.344648455704063, 8.333851175827494),
-    (0.039603960396039604, 2.03378197192596, 0.264035225139623, 9.148988882313686),
-]
-
-# Points where that search raised: the 1-D conditional has weights
-# [0, 0, 1] and means near -41, and the box mass of a weight-0 component
-# underflows, so the driver holds its speed.
-HUMAN_CORPUS_RAISING = [
-    (0.06026768910221262, 0.8445567130086167, 12.098857360871472),
-    (0.0590992807971149, 0.8239179585171776, 12.416791622742437),
-]
-
-
-@pytest.fixture(scope="module")
-def human_path():
-    model = reference_generator()
-    conditioner = Conditioner(model, [OBS_INV_RANGE, OBS_WALK_SPEED, OBS_INV_TIME_ADVANTAGE])
-    return conditioner, HumanDriver._speed_interval(model)
+# reference model, with the desired speed that the earlier
+# grid-plus-golden-section search returned for each, or the error it raised
+# (human_corpus.json).
+HUMAN = pins.HUMAN_DECISIONS
+RAISES = DegenerateTruncationError.__name__
+HUMAN_MODES = [(*inputs, outcome) for inputs, outcome in HUMAN.rows() if outcome != RAISES]
+# Where the search raised, the 1-D conditional has weights [0, 0, 1] and
+# means near -41, and the box mass of a weight-0 component underflows, so
+# the driver holds its speed.
+HUMAN_RAISING = [tuple(inputs) for inputs, outcome in HUMAN.rows() if outcome == RAISES]
 
 
 class TestHumanDriverDecisions:
-    @pytest.mark.parametrize("inv_r,walk,inv_adv,recorded", HUMAN_CORPUS)
-    def test_recorded_speeds(self, human_path, inv_r, walk, inv_adv, recorded):
-        conditioner, interval = human_path
-        conditional = conditioner([inv_r, walk, inv_adv])
-        desired = conditional_mode(conditional, interval)
-        assert desired == pytest.approx(recorded, abs=1e-6)
-        # The golden-section result sits within 4e-8 of the mode, where
-        # the density is flat to rounding; allow a few ulps.
-        new, old = conditional.density(np.array([[desired], [recorded]]))
-        assert new >= old * (1.0 - 4 * np.finfo(float).eps)
+    @pytest.mark.parametrize("inv_r,walk,inv_adv,recorded", HUMAN_MODES)
+    def test_recorded_speeds(self, inv_r, walk, inv_adv, recorded):
+        # Within 1e-6, and the mode's density no lower than the recording's.
+        inputs = [inv_r, walk, inv_adv]
+        desired = HUMAN.compute(inputs)
+        assert HUMAN.agrees(inputs, recorded, desired)
 
-    @pytest.mark.parametrize("inv_r,walk,inv_adv", HUMAN_CORPUS_RAISING)
-    def test_recorded_failures_still_raise(self, human_path, inv_r, walk, inv_adv):
-        conditioner, interval = human_path
-        conditional = conditioner([inv_r, walk, inv_adv])
-        np.testing.assert_array_equal(conditional.weights[:2], 0.0)
-        with pytest.raises(DegenerateTruncationError):
-            conditional_mode(conditional, interval)
+    @pytest.mark.parametrize("inv_r,walk,inv_adv", HUMAN_RAISING)
+    def test_recorded_failures_still_raise(self, inv_r, walk, inv_adv):
+        inputs = [inv_r, walk, inv_adv]
+        np.testing.assert_array_equal(pins.human_conditional(inputs).weights[:2], 0.0)
+        assert HUMAN.agrees(inputs, RAISES, HUMAN.compute(inputs))
 
     def test_failed_conditioner_build_falls_back_on_every_update(self, monkeypatch):
         def singular(*args):

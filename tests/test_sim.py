@@ -216,12 +216,22 @@ class VisibilitySpy:
         return StrategyDecision(0.0)
 
 
+def reference_step(progress, walk_speed, crossing_length, dt):
+    """The pedestrian model's step: constant walk speed, stopped at the far kerb."""
+    return min(progress + walk_speed * dt, crossing_length)
+
+
+def past_path(progress, crossing_length, half_width):
+    """True once a pedestrian can no longer meet the vehicle body."""
+    return progress > 0.5 * crossing_length + half_width
+
+
 class TestVisibility:
     def test_visible_pedestrians_follow_the_pedestrian_model(self):
         # Walkers spawn at 60 m but are visible only from 40 m; the
-        # engine's inline stepping must agree with Pedestrian.advance
-        # and Pedestrian.past_path.  With dt = 1/16 s the 1 m/s walker
-        # lands exactly on the strip edge, 5.5 m, and is still visible.
+        # engine's inline stepping must agree with reference_step and
+        # past_path.  With dt = 1/16 s the 1 m/s walker lands exactly on
+        # the strip edge, 5.5 m, and is still visible.
         cfg = SimConfig(trigger_range=60.0, detection_range=40.0, dt=0.0625)
         schedule = ArrivalSchedule(np.array([0.0, 0.5, 4.0]), ("near", "far", "near"))
         spy = VisibilitySpy()
@@ -240,17 +250,15 @@ class TestVisibility:
         for ped, steps in visible_steps.values():
             first, last = steps[0][0], steps[-1][0]
             assert [step for step, _ in steps] == list(range(first, last + 1))
-            model = Pedestrian(
-                ped.arrival_time, ped.side, ped.walk_speed, ped.crossing_length,
-                progress=steps[0][1],
-            )
+            length, half_width = ped.crossing_length, cfg.vehicle_half_width
+            model = steps[0][1]
             for _, progress in steps:
-                assert progress == model.progress
-                edge_hits += progress == 0.5 * ped.crossing_length + cfg.vehicle_half_width
-                assert not model.past_path(cfg.vehicle_half_width)
-                model.advance(cfg.dt)
+                assert progress == model
+                edge_hits += progress == 0.5 * length + half_width
+                assert not past_path(model, length, half_width)
+                model = reference_step(model, ped.walk_speed, length, cfg.dt)
             # It left the list by walking past the path, not by vanishing.
-            assert model.past_path(cfg.vehicle_half_width)
+            assert past_path(model, length, half_width)
         assert edge_hits == 1
 
 

@@ -120,6 +120,8 @@ def fixed_count_arrivals(rate: float, count: int, seed: int) -> ArrivalSchedule:
     pedestrians, with the first stepping off the instant the vehicle
     reaches the trigger range.
     """
+    if not math.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate}")
     if count < 0:
         raise ValueError("count must be >= 0")
     if count > 1 and rate <= 0:
@@ -323,6 +325,12 @@ class SoftYieldParams:
     accel_per_speed: float = -0.13986  # 1/s
     accel_per_range: float = 0.010115  # 1/s^2
 
+    def __post_init__(self) -> None:
+        for name in ("accel_intercept", "accel_per_speed", "accel_per_range"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
 
 def soft_yield_decide(
     params: SoftYieldParams,
@@ -463,12 +471,13 @@ class HumanDriverParams:
     recovery_acceleration: float = 1.0  # m/s^2 back toward free flow
 
     def __post_init__(self) -> None:
-        if self.update_interval <= 0:
-            raise ValueError("update_interval must be positive")
-        if self.max_acceleration <= 0:
-            raise ValueError("max_acceleration must be positive")
-        if self.recovery_acceleration < 0:
-            raise ValueError("recovery_acceleration must be >= 0")
+        for name in ("update_interval", "max_acceleration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        value = self.recovery_acceleration
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"recovery_acceleration must be finite and >= 0, got {value!r}")
 
 
 class HumanDriver:
@@ -553,21 +562,14 @@ class HumanDriver:
         if governing is None:
             return self.resume(None)
         try:
-            adv = time_advantage(
-                Kinematics(
-                    longitudinal_gap=longitudinal_gap,
-                    lateral_gap=governing.lateral_gap,
-                    vehicle_speed=vehicle_speed,
-                    walk_speed=governing.walk_speed,
-                )
-            )
-            if adv == 0.0:
-                raise ValueError("zero time advantage")
+            adv = _advantage_or_inf(longitudinal_gap, vehicle_speed, governing)
+            if adv == 0.0 or adv == math.inf:
+                raise ValueError(f"time advantage {adv} has no finite inverse")
             conditional = self.model.condition(
                 [OBS_INV_RANGE, OBS_WALK_SPEED, OBS_INV_TIME_ADVANTAGE],
                 [1.0 / longitudinal_gap, governing.walk_speed, 1.0 / adv],
             )
-        except (ValueError, ZeroDivisionError) as exc:  # ConditioningError included
+        except ValueError as exc:  # ConditioningError included
             return self.resume(exc)
         return ModeQuery(conditional, self._search)
 

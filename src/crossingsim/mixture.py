@@ -103,7 +103,7 @@ class TruncationBox:
 
     lower: np.ndarray
     upper: np.ndarray
-    # (column, bound) of every finite bound, for contains and _inside.
+    # (column, bound) of every finite bound, for _inside and Conditioner.
     _finite_lower: tuple = field(init=False, repr=False, compare=False)
     _finite_upper: tuple = field(init=False, repr=False, compare=False)
 
@@ -154,11 +154,8 @@ class TruncationBox:
         pts = np.atleast_2d(pts)
         if pts.shape[1] != self.dim:
             raise ValueError(f"points have dimension {pts.shape[1]}, box has {self.dim}")
-        inside = (pts == pts).all(axis=1)  # False for a row holding a NaN
-        for i, bound in self._finite_lower:
-            inside &= pts[:, i] >= bound
-        for i, bound in self._finite_upper:
-            inside &= pts[:, i] <= bound
+        inside = _inside(self, pts)
+        inside &= (pts == pts).all(axis=1)  # False for a row holding a NaN
         return bool(inside[0]) if squeeze else inside
 
     def sliced(self, dims: Sequence[int]) -> "TruncationBox":
@@ -321,13 +318,6 @@ def _scalar_interval_mass(alpha: float, beta: float) -> float:
     return _ndtr(beta) - _ndtr(alpha)
 
 
-def _interval_mass(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """:func:`_scalar_interval_mass` over (K,) bounds, one component each."""
-    return np.array(
-        [_scalar_interval_mass(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
-    )
-
-
 def _moments_1d(mean: float, var: float, lo: float, hi: float) -> TruncatedMoments:
     """Closed-form mass, mean, and variance of a box-truncated 1-D normal."""
     sigma = math.sqrt(var)
@@ -413,7 +403,8 @@ def _rejection_schedule(n_accepted: int, take: Callable[[int, int], int]) -> tup
 
 
 def _inside(box: TruncationBox, points: np.ndarray) -> np.ndarray:
-    """:meth:`TruncationBox.contains` over the last axis of finite points.
+    """The bound tests of :meth:`TruncationBox.contains` over the last axis,
+    without its NaN rule.
 
     Tests one column per finite bound, so an infinite bound costs nothing.
     """
@@ -682,18 +673,7 @@ class GaussianMixture:
             _validate_covariance(covariances[k], f"covariance[{k}]")
         if truncation is not None and truncation.dim != dim:
             raise ValueError("truncation box dimension does not match model")
-        for arr in (weights, means, covariances):
-            arr.setflags(write=False)
-        self.weights = weights
-        self.means = means
-        self.covariances = covariances
-        self.truncation = truncation
-        self.fit_seed = fit_seed
-        self._chols: Optional[np.ndarray] = None
-        self._box_masses: Optional[np.ndarray] = None
-        self._box_mass: Optional[float] = None
-        self._conditioners: dict[tuple, Conditioner] = {}
-        self._marginals: dict[tuple, GaussianMixture] = {}
+        self._store(weights, means, covariances, truncation, fit_seed, None)
 
     @classmethod
     def _trusted(
@@ -710,19 +690,31 @@ class GaussianMixture:
         ``chols`` are the Cholesky factors of ``covariances``.
         """
         model = cls.__new__(cls)
-        for arr in (weights, means, covariances, chols):
-            arr.setflags(write=False)
-        model.weights = weights
-        model.means = means
-        model.covariances = covariances
-        model.truncation = truncation
-        model.fit_seed = None
-        model._chols = chols
-        model._box_masses = None
-        model._box_mass = None
-        model._conditioners = {}
-        model._marginals = {}
+        model._store(weights, means, covariances, truncation, None, chols)
         return model
+
+    def _store(
+        self,
+        weights: np.ndarray,
+        means: np.ndarray,
+        covariances: np.ndarray,
+        truncation: Optional[TruncationBox],
+        fit_seed: Optional[int],
+        chols: Optional[np.ndarray],
+    ) -> None:
+        """Set the parameters, read-only, and empty every cache."""
+        for arr in (weights, means, covariances, chols):
+            if arr is not None:
+                arr.setflags(write=False)
+        self.weights = weights
+        self.means = means
+        self.covariances = covariances
+        self.truncation = truncation
+        self.fit_seed = fit_seed
+        self._chols = chols
+        self._box_masses: Optional[np.ndarray] = None
+        self._conditioners: dict[tuple, Conditioner] = {}
+        self._marginals: dict[tuple, GaussianMixture] = {}
 
     # -- basic introspection ------------------------------------------------
 
@@ -763,6 +755,41 @@ class GaussianMixture:
             self._chols = np.linalg.cholesky(self.covariances)
         return self._chols
 
+    def _mass_table(self) -> np.ndarray:
+        """:meth:`component_box_masses` before its underflow check.  In 1-D
+        it is the closed form in Python floats (exactly 1 on an unbounded
+        box), and a component's mass may underflow to 0 there."""
+        if self._box_masses is None:
+            box = self.truncation
+            if box is not None and self.dim == 1:
+                lo, hi = float(box.lower[0]), float(box.upper[0])
+                sds = map(math.sqrt, self.covariances[:, 0, 0].tolist())
+                masses = np.array(
+                    [
+                        _scalar_interval_mass((lo - mean) / sd, (hi - mean) / sd)
+                        for mean, sd in zip(self.means[:, 0].tolist(), sds)
+                    ]
+                )
+            elif box is None or box.is_unbounded:
+                masses = np.ones(self.n_components)
+            else:
+                chols = self._cholesky_factors()
+                masses = np.array(
+                    [
+                        _box_mass_mc(
+                            self.means[k],
+                            chols[k],
+                            box,
+                            _MASS_DRAWS,
+                            derive_seed(_MASS_SEED, "box-mass", k),
+                        )
+                        for k in range(self.n_components)
+                    ]
+                )
+            masses.setflags(write=False)
+            self._box_masses = masses
+        return self._box_masses
+
     def component_box_masses(self) -> np.ndarray:
         """Per-component probability mass inside the truncation box.
 
@@ -771,46 +798,18 @@ class GaussianMixture:
         of a first block of 80 000 draws (4 x ``_MASS_DRAWS``), continued
         while fewer than 20 000 are inside.  The draws are counted in
         chunks of at most 8192 rows and never kept, so the transient is
-        one chunk whatever the draw count.  The result is cached because
-        it normalizes every truncated density evaluation.
+        one chunk whatever the draw count.  The masses are built once per
+        model and cached read-only: they normalize every truncated density
+        evaluation, and :meth:`normalization` and :meth:`box_mass` read them.
 
         Raises:
             DegenerateTruncationError: as :func:`truncated_moments`, for
-                any one component.
+                any one component, weight 0 included.
         """
-        if self.truncation is None or self.truncation.is_unbounded:
-            return np.ones(self.n_components)
-        if self._box_masses is not None:
-            return self._box_masses
-        if self.dim == 1:
-            # The closed form of truncated_moments, for all components at once.
-            means = self.means[:, 0]
-            sds = np.sqrt(self.covariances[:, 0, 0])
-            masses = _interval_mass(
-                (self.truncation.lower[0] - means) / sds,
-                (self.truncation.upper[0] - means) / sds,
-            )
-            if (masses < 1e-300).any():
-                k = int(np.argmin(masses))
-                raise DegenerateTruncationError(
-                    f"box captures mass {masses[k]} of component {k}"
-                )
-            self._box_masses = masses
-            return masses
-        chols = self._cholesky_factors()
-        masses = np.array(
-            [
-                _box_mass_mc(
-                    self.means[k],
-                    chols[k],
-                    self.truncation,
-                    _MASS_DRAWS,
-                    derive_seed(_MASS_SEED, "box-mass", k),
-                )
-                for k in range(self.n_components)
-            ]
-        )
-        self._box_masses = masses
+        masses = self._mass_table()
+        if (masses < 1e-300).any():
+            k = int(np.argmin(masses))
+            raise DegenerateTruncationError(f"box captures mass {masses[k]} of component {k}")
         return masses
 
     def normalization(self) -> float:
@@ -820,30 +819,21 @@ class GaussianMixture:
         return float(self.weights @ self.component_box_masses())
 
     def box_mass(self) -> float:
-        """Exact mass of a 1-D mixture inside its box (1 when untruncated),
-        summed over the components of positive weight.
+        """Mass of a 1-D mixture inside its box (1 when untruncated): the
+        per-component masses of :meth:`component_box_masses`, weighted and
+        summed in component order.
 
         Unlike :meth:`normalization`, it does not raise for a weight-0
-        component that holds no mass in the box.  The result is cached.
+        component that holds no mass in the box: that component adds 0.
         """
         if self.dim != 1:
             raise ValueError("box_mass needs a 1-D mixture")
         if self.truncation is None:
             return 1.0
-        if self._box_mass is None:
-            lo = float(self.truncation.lower[0])
-            hi = float(self.truncation.upper[0])
-            total = 0.0
-            for weight, mean, var in zip(
-                self.weights.tolist(),
-                self.means[:, 0].tolist(),
-                self.covariances[:, 0, 0].tolist(),
-            ):
-                if weight > 0.0:
-                    sd = math.sqrt(var)
-                    total += weight * _scalar_interval_mass((lo - mean) / sd, (hi - mean) / sd)
-            self._box_mass = total
-        return self._box_mass
+        total = 0.0
+        for weight, mass in zip(self.weights.tolist(), self._mass_table().tolist()):
+            total += weight * mass
+        return total
 
     def _as_rows(self, y: object) -> tuple[np.ndarray, bool]:
         arr = np.asarray(y, dtype=float)

@@ -19,6 +19,7 @@ the two episodes differ only in the driving policy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Generator, NamedTuple, Optional, Protocol, Sequence
@@ -109,14 +110,16 @@ class SimConfig:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.arrival_rate < 0:
-            raise ValueError("arrival_rate must be >= 0")
+        rate = self.arrival_rate
+        if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate >= 0):
+            raise ValueError(f"arrival_rate must be finite and >= 0, got {rate!r}")
         if self.arrival_mode not in ("fixed", "poisson"):
             raise ValueError(
                 f"arrival_mode must be 'fixed' or 'poisson', got {self.arrival_mode!r}"
             )
-        if self.fixed_count < 0:
-            raise ValueError("fixed_count must be >= 0")
+        count = self.fixed_count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise ValueError(f"fixed_count must be a nonnegative integer, got {count!r}")
         if self.arrival_mode == "fixed" and self.fixed_count > 1 and self.arrival_rate == 0:
             raise ValueError("arrival_rate must be positive to space fixed_count > 1 arrivals")
         if self.walk_speed_min > self.walk_speed_max:

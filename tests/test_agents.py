@@ -108,6 +108,11 @@ class TestFixedCountArrivals:
         with pytest.raises(ValueError):
             fixed_count_arrivals(0.0, 2, seed=0)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rate_must_be_finite(self, rate):
+        with pytest.raises(ValueError, match="^rate must be finite"):
+            fixed_count_arrivals(rate, 3, seed=1)
+
 
 class TestPedestrian:
     def test_near_side_geometry(self):
@@ -223,6 +228,14 @@ class TestSelectGoverning:
         stopped = select_governing(30.0, 0.0, [walker, ped(1.5)])
         # Stopped vehicle: every advantage is undefined, earliest arrival wins.
         assert stopped is walker
+
+
+class TestSoftYieldParams:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["accel_intercept", "accel_per_speed", "accel_per_range"])
+    def test_coefficients_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SoftYieldParams(**{name: value})
 
 
 class TestSoftYieldDecide:
@@ -379,6 +392,22 @@ class TestHumanDriverParams:
             HumanDriverParams(update_interval=0.0)
         with pytest.raises(ValueError):
             HumanDriverParams(max_acceleration=-1.0)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("update_interval", math.nan),
+            ("update_interval", math.inf),
+            ("max_acceleration", math.nan),
+            ("max_acceleration", math.inf),
+            ("recovery_acceleration", math.nan),
+            ("recovery_acceleration", math.inf),
+            ("recovery_acceleration", -1.0),
+        ],
+    )
+    def test_every_field_is_finite_with_its_sign(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            HumanDriverParams(**{name: value})
 
 
 def answered(driver, decision):

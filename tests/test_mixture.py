@@ -247,9 +247,8 @@ class TestNormalCdfPort:
         ends[4100:5000] = np.sort(rng.choice(_cdf_edge_inputs(), size=(900, 2)), axis=1)
         alpha, beta = ends[:, 0], ends[:, 1]
         want = np.where(alpha >= 0.0, ndtr(-alpha) - ndtr(-beta), ndtr(beta) - ndtr(alpha))
-        assert_bitwise_equal(mixture._interval_mass(alpha, beta), want)
-        scalar = [mixture._scalar_interval_mass(a, b) for a, b in ends[::97].tolist()]
-        assert_bitwise_equal(np.array(scalar), want[::97])
+        got = [mixture._scalar_interval_mass(a, b) for a, b in ends.tolist()]
+        assert_bitwise_equal(np.array(got), want)
 
 
 def reference_moments_mc(mean, cov, box, n_accepted, seed):
@@ -633,6 +632,82 @@ class TestDensity:
         assert GaussianMixture(np.ones(1), np.zeros((1, 1)), np.ones((1, 1, 1))).box_mass() == 1.0
         with pytest.raises(ValueError):
             random_mixture(rng, dim=2, truncation=TruncationBox.positive_orthant(2)).box_mass()
+
+    def test_mass_methods_read_one_table_built_once(self, monkeypatch):
+        # box_mass is weight * mass summed over the positive weights in
+        # component order, over the masses component_box_masses returns;
+        # the three methods build that table once per model between them.
+        calls = []
+        interval_mass = mixture._scalar_interval_mass
+
+        def counted(alpha, beta):
+            calls.append((alpha, beta))
+            return interval_mass(alpha, beta)
+
+        monkeypatch.setattr(mixture, "_scalar_interval_mass", counted)
+
+        def sequential_sum(weights, masses):
+            total = 0.0
+            for weight, mass in zip(weights, masses):
+                if weight > 0.0:
+                    total += weight * mass
+            return total
+
+        rng = np.random.Generator(np.random.PCG64(14))
+        bounds = [None, (0.5, np.inf), (-np.inf, 1.0), (-1.0, 2.5), (-np.inf, np.inf)]
+        models = [
+            random_mixture(
+                rng, dim=1, k=4,
+                truncation=None if b is None else TruncationBox(np.array([b[0]]), np.array([b[1]])),
+            )
+            for b in bounds
+        ]
+        models.append(
+            GaussianMixture(
+                np.array([0.6, 0.0, 0.4]),
+                np.array([[0.0], [3.0], [-1.0]]),
+                np.ones((3, 1, 1)),
+                truncation=TruncationBox(np.array([-1.0]), np.array([2.5])),
+            )
+        )
+        for model in models:
+            del calls[:]
+            got = model.box_mass()
+            masses = model.component_box_masses()
+            assert not masses.flags.writeable
+            weights = model.weights.tolist()
+            if model.truncation is None:
+                assert masses.tolist() == [1.0] * model.n_components
+                assert got == model.normalization() == 1.0
+            else:
+                assert got.hex() == sequential_sum(weights, masses.tolist()).hex()
+                assert model.normalization() == float(model.weights @ masses)
+            if model.truncation is not None and model.truncation.is_unbounded:
+                assert masses.tolist() == [1.0] * model.n_components
+            assert model.box_mass() == got
+            assert model.component_box_masses() is masses
+            assert len(calls) == (0 if model.truncation is None else model.n_components)
+
+        # A weight-0 component with no mass in the box: the table holds its
+        # underflowed 0, component_box_masses and normalization raise on it,
+        # and box_mass leaves it out.
+        far = GaussianMixture(
+            np.array([0.0, 1.0]),
+            np.array([[-60.0], [1.0]]),
+            np.ones((2, 1, 1)),
+            truncation=TruncationBox.positive_orthant(1),
+        )
+        del calls[:]
+        got = far.box_mass()
+        for method in (far.component_box_masses, far.normalization, far.component_box_masses):
+            with pytest.raises(
+                DegenerateTruncationError, match=r"^box captures mass 0\.0 of component 0$"
+            ):
+                method()
+        assert far.box_mass() == got
+        assert len(calls) == 2
+        kept = truncated_moments(far.components[1], far.truncation).mass
+        assert got.hex() == (0.0 + 1.0 * kept).hex()
 
     @pytest.mark.parametrize("n_accepted", [20_000])
     def test_four_dim_box_masses_use_the_documented_seeds(self, n_accepted):

@@ -78,6 +78,19 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("arrival_rate", math.nan),
+            ("arrival_rate", math.inf),
+            ("fixed_count", 2.5),
+            ("fixed_count", True),
+        ],
+    )
+    def test_arrival_fields_are_named_when_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SimConfig(**{name: value})
+
 
 class TestDetectCrash:
     CFG = SimConfig()

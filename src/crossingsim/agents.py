@@ -328,7 +328,7 @@ class SoftYieldParams:
     def __post_init__(self) -> None:
         for name in ("accel_intercept", "accel_per_speed", "accel_per_range"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if isinstance(value, bool) or not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -473,10 +473,10 @@ class HumanDriverParams:
     def __post_init__(self) -> None:
         for name in ("update_interval", "max_acceleration"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         value = self.recovery_acceleration
-        if not (math.isfinite(value) and value >= 0):
+        if isinstance(value, bool) or not (math.isfinite(value) and value >= 0):
             raise ValueError(f"recovery_acceleration must be finite and >= 0, got {value!r}")
 
 

@@ -37,6 +37,7 @@ import bisect
 import itertools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
@@ -103,7 +104,8 @@ class TruncationBox:
 
     lower: np.ndarray
     upper: np.ndarray
-    # (column, bound) of every finite bound, for _inside and Conditioner.
+    # (column, bound) of every finite bound, for Conditioner; _inside
+    # tests upper bounds only when _finite_upper is not empty.
     _finite_lower: tuple = field(init=False, repr=False, compare=False)
     _finite_upper: tuple = field(init=False, repr=False, compare=False)
 
@@ -402,18 +404,40 @@ def _rejection_schedule(n_accepted: int, take: Callable[[int, int], int]) -> tup
     return accepted, drawn
 
 
+def _add_row(rows: np.ndarray, row: np.ndarray) -> None:
+    """``rows += row`` in place, with the same bits, for C-contiguous (n, d) rows.
+
+    Broadcasting a (d,) row over (n, d) rows runs numpy's inner loop over
+    d elements n times; viewing whole groups of 64 rows as one row of 64d
+    elements runs it over 64d (about 25 against 55 us on (8192, 4) rows,
+    x86_64 Xeon).  The last n mod 64 rows take the row as they are.
+    """
+    n, d = rows.shape
+    whole = n - n % 64
+    if whole:
+        grouped = rows[:whole].reshape(whole // 64, 64 * d)
+        grouped += np.tile(row, 64)
+    rows[whole:] += row
+
+
 def _inside(box: TruncationBox, points: np.ndarray) -> np.ndarray:
-    """The bound tests of :meth:`TruncationBox.contains` over the last axis,
+    """The bound tests of :meth:`TruncationBox.contains` over (n, d) rows,
     without its NaN rule.
 
-    Tests one column per finite bound, so an infinite bound costs nothing.
+    Compares every coordinate with its lower bound, and with its upper
+    bound when some upper bound is finite, into (tests, n) flags that one
+    contiguous reduction joins.  An infinite bound passes every value
+    but NaN, so a NaN anywhere in a row fails it here; ``contains``
+    fails such a row by its own rule, and the Monte Carlo kernels and
+    ``sample`` test only finite draws.
     """
-    inside = np.ones(points.shape[:-1], dtype=bool)
-    for i, bound in box._finite_lower:
-        inside &= points[..., i] >= bound
-    for i, bound in box._finite_upper:
-        inside &= points[..., i] <= bound
-    return inside
+    n, d = points.shape
+    columns = points.T
+    flags = np.empty((2 * d if box._finite_upper else d, n), dtype=bool)
+    np.greater_equal(columns, box.lower[:, None], out=flags[:d])
+    if box._finite_upper:
+        np.less_equal(columns, box.upper[:, None], out=flags[d:])
+    return np.logical_and.reduce(flags, axis=0)
 
 
 def _moments_mc(
@@ -439,7 +463,7 @@ def _moments_mc(
 
         def take(start: int, stop: int) -> int:
             shifted = stream.rows(start, stop) @ chol_t
-            shifted += mean
+            _add_row(shifted, mean)
             kept.append(np.compress(_inside(box, shifted), shifted, axis=0))
             return kept[-1].shape[0]
 
@@ -452,7 +476,7 @@ def _moments_mc(
             t_mean = sample.mean(axis=0)
         else:
             t_mean = np.einsum("ij->j", sample) / accepted
-        sample -= t_mean
+        _add_row(sample, -t_mean)  # x + (-m) is x - m, bit for bit
         t_cov = sample.T @ sample / accepted
         out.append(TruncatedMoments(mass=accepted / drawn, mean=t_mean, covariance=t_cov))
     return out
@@ -478,7 +502,7 @@ def _box_mass_mc(
             chunk = z[: min(stop - lo, _MIN_CHUNK)]
             rng.standard_normal(out=chunk)
             shifted = chunk @ chol_t
-            shifted += mean
+            _add_row(shifted, mean)
             inside += int(np.count_nonzero(_inside(box, shifted)))
         return inside
 
@@ -985,7 +1009,7 @@ class GaussianMixture:
         cdf = [c / cdf[-1] for c in cdf]
         means = self.means[:, 0].tolist()
         sds = self._cholesky_factors()[:, 0, 0].tolist()
-        # An infinite bound passes every finite draw, as _inside skips it.
+        # An infinite bound passes every finite draw, as in _inside.
         lo, hi = (-math.inf, math.inf) if self.truncation is None else (
             float(self.truncation.lower[0]), float(self.truncation.upper[0])
         )
@@ -1234,6 +1258,16 @@ class FitConfig:
     mc_moment_draws: int = 20_000
 
     def __post_init__(self) -> None:
+        for name in ("n_components", "max_iterations", "restarts", "mc_moment_draws", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # derive_seed takes int alone
+        for name in ("loglik_tolerance", "covariance_floor"):
+            value = getattr(self, name)
+            finite = isinstance(value, numbers.Real) and math.isfinite(value)
+            if isinstance(value, bool) or not finite:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.n_components < 1:
             raise ValueError("n_components must be >= 1")
         if self.max_iterations < 1:

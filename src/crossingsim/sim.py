@@ -108,10 +108,14 @@ class SimConfig:
         )
         for name in positive:
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+            ):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         rate = self.arrival_rate
-        if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate >= 0):
+        if isinstance(rate, bool) or not (
+            isinstance(rate, (int, float)) and math.isfinite(rate) and rate >= 0
+        ):
             raise ValueError(f"arrival_rate must be finite and >= 0, got {rate!r}")
         if self.arrival_mode not in ("fixed", "poisson"):
             raise ValueError(

@@ -231,7 +231,7 @@ class TestSelectGoverning:
 
 
 class TestSoftYieldParams:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True])
     @pytest.mark.parametrize("name", ["accel_intercept", "accel_per_speed", "accel_per_range"])
     def test_coefficients_must_be_finite(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -403,6 +403,9 @@ class TestHumanDriverParams:
             ("recovery_acceleration", math.nan),
             ("recovery_acceleration", math.inf),
             ("recovery_acceleration", -1.0),
+            ("update_interval", True),
+            ("max_acceleration", True),
+            ("recovery_acceleration", True),
         ],
     )
     def test_every_field_is_finite_with_its_sign(self, name, value):

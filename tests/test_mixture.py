@@ -5,6 +5,7 @@ independent implementation for everything that has one there.
 """
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -503,6 +504,145 @@ class TestCountedBoxMass:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+def column_loop_inside(box, points):
+    """The box test the kernels ran before they compared every coordinate
+    at once: one column per finite bound."""
+    inside = np.ones(points.shape[0], dtype=bool)
+    for i in np.flatnonzero(np.isfinite(box.lower)):
+        inside &= points[:, i] >= box.lower[i]
+    for i in np.flatnonzero(np.isfinite(box.upper)):
+        inside &= points[:, i] <= box.upper[i]
+    return inside
+
+
+def broadcast_moments_mc(means, chols, box, n_accepted, streams):
+    """The moments kernel as it stood with broadcast row shifts and the
+    column-loop box test; the kernel must give its bits."""
+    out = []
+    for mean, chol, stream in zip(means, chols, streams):
+        chol_t = np.ascontiguousarray(chol.T)
+        kept = []
+
+        def take(start, stop):
+            shifted = stream.rows(start, stop) @ chol_t
+            shifted += mean
+            kept.append(np.compress(column_loop_inside(box, shifted), shifted, axis=0))
+            return kept[-1].shape[0]
+
+        accepted, drawn = mixture._rejection_schedule(n_accepted, take)
+        sample = kept[0] if len(kept) == 1 else np.concatenate(kept)
+        if sample.shape[1] == 1:
+            t_mean = sample.mean(axis=0)
+        else:
+            t_mean = np.einsum("ij->j", sample) / accepted
+        sample -= t_mean
+        t_cov = sample.T @ sample / accepted
+        out.append(mixture.TruncatedMoments(accepted / drawn, t_mean, t_cov))
+    return out
+
+
+class TestContiguousKernelPasses:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 6121, 8192])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_add_row_is_the_broadcast_add_byte_for_byte(self, n, dim):
+        rng = np.random.Generator(np.random.PCG64(n + 10 * dim))
+        rows = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4, (n, dim))
+        for row in (rng.standard_normal(dim) * 100.0, -rng.standard_normal(dim)):
+            want = rows.copy()
+            want += row
+            got = rows.copy()
+            mixture._add_row(got, row)
+            assert got.tobytes() == want.tobytes()
+        # x + (-m) is x - m, which is how the kernel centres its draws.
+        want = rows - row
+        got = rows.copy()
+        mixture._add_row(got, -row)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_inside_is_the_column_loop_for_every_mix_of_bounds(self, dim):
+        # Each column is bounded below, above, on both sides or not at all.
+        rng = np.random.Generator(np.random.PCG64(70 + dim))
+        points = rng.uniform(-3.0, 3.0, size=(300, dim))
+        points[rng.random((300, dim)) < 0.1] = np.inf
+        points[rng.random((300, dim)) < 0.1] = -np.inf
+        points[:3] = [[-1.0] * dim, [1.5] * dim, [-0.0] * dim]  # on the bounds
+        kinds = itertools.product(range(4), repeat=dim)
+        for kind in kinds:
+            lower = np.array([-1.0 if k in (0, 2) else -np.inf for k in kind])
+            upper = np.array([1.5 if k in (1, 2) else np.inf for k in kind])
+            box = TruncationBox(lower, upper)
+            want = column_loop_inside(box, points)
+            np.testing.assert_array_equal(mixture._inside(box, points), want)
+            np.testing.assert_array_equal(box.contains(points), want)
+            holed = points.copy()
+            holed[::7, -1] = np.nan
+            got = box.contains(holed)
+            assert not got[::7].any()
+            keep = np.ones(300, dtype=bool)
+            keep[::7] = False
+            np.testing.assert_array_equal(got[keep], want[keep])
+
+    @pytest.mark.parametrize("shape", ["orthant", "two-sided"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_kernels_match_the_reference_on_the_study_boxes(self, dim, shape):
+        # Every column is bounded: below on the orthant, on both sides on
+        # the other box.  First coordinates from 2 standard deviations
+        # below the lower bound to 1 above it; masses below
+        # n_accepted / 8192 continue past the first block.
+        rng = np.random.Generator(np.random.PCG64(90 + dim))
+        n_accepted = 1_000
+        if shape == "orthant":
+            box = TruncationBox.positive_orthant(dim)
+        else:
+            box = TruncationBox(np.full(dim, -1.0), np.full(dim, 2.0))
+        offsets = np.array([-2.0, -1.3, -0.5, 0.0, 1.0])
+        covs = np.array(
+            [a @ a.T + 0.2 * np.eye(dim) for a in rng.uniform(-1, 1, (offsets.size, dim, dim))]
+        )
+        sds = np.sqrt(np.diagonal(covs, axis1=1, axis2=2))
+        means = box.lower + 0.5 * np.minimum(sds, 1.0)
+        means[:, 0] = box.lower[0] + offsets * sds[:, 0]
+        chols = np.linalg.cholesky(covs)
+        seeds = [derive_seed(41, f"study-box-{shape}", j) for j in range(offsets.size)]
+        got = mixture._moments_mc(means, chols, box, n_accepted, streams(seeds, n_accepted, dim))
+        continued = 0
+        for j in range(offsets.size):
+            want = reference_moments_mc(means[j], covs[j], box, n_accepted, seeds[j])
+            assert_same_moments(got[j], want)
+            assert mixture._box_mass_mc(means[j], chols[j], box, n_accepted, seeds[j]) == want.mass
+            continued += want.mass < n_accepted / 8192
+        assert continued >= 1
+
+    def test_em_fit_gives_the_broadcast_kernel_bytes(self, monkeypatch):
+        # Four-dimensional rows near the orthant's faces, so both
+        # components keep masses well below 1 and some continue.
+        truth = GaussianMixture(
+            np.array([0.6, 0.4]),
+            np.array([[0.2, 0.5, 0.1, 0.4], [1.5, 0.3, 1.0, 2.0]]),
+            np.array([np.eye(4), 0.5 * np.eye(4) + 0.2]),
+            truncation=TruncationBox.positive_orthant(4),
+        )
+        data = truth.sample(600, seed=12)
+        config = FitConfig(
+            n_components=2, truncation_mode="truncated", max_iterations=20,
+            mc_moment_draws=2000, seed=4,
+        )
+        new, _ = em_fit(data, config)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return broadcast_moments_mc(*args)
+
+        monkeypatch.setattr(mixture, "_moments_mc", counted)
+        old, diag = em_fit(data, config)
+        assert len(calls) >= diag.n_iterations == 20
+        assert new.weights.tobytes() == old.weights.tobytes()
+        assert new.means.tobytes() == old.means.tobytes()
+        assert new.covariances.tobytes() == old.covariances.tobytes()
 
 
 class TestMixtureConstruction:
@@ -1424,6 +1564,37 @@ class TestEmFit:
         a, _ = em_fit(data, cfg)
         b, _ = em_fit(data, cfg)
         assert a == b
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0, "3"])
+    @pytest.mark.parametrize(
+        "name", ["n_components", "max_iterations", "restarts", "mc_moment_draws", "seed"]
+    )
+    def test_count_fields_must_be_integers(self, name, value):
+        fields = {"n_components": 2, "truncation_mode": "truncated", name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            FitConfig(**fields)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True])
+    @pytest.mark.parametrize("name", ["loglik_tolerance", "covariance_floor"])
+    def test_float_fields_must_be_finite_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            FitConfig(n_components=1, **{name: value})
+
+    def test_numpy_integers_are_counts(self):
+        config = FitConfig(
+            n_components=np.int64(2), max_iterations=np.int32(5), restarts=np.uint8(2),
+            mc_moment_draws=np.int64(500), seed=np.uint64(7), truncation_mode="truncated",
+        )
+        plain = FitConfig(
+            n_components=2, max_iterations=5, restarts=2, mc_moment_draws=500, seed=7,
+            truncation_mode="truncated",
+        )
+        assert config == plain
+        assert all(type(getattr(config, name)) is int for name in ("n_components", "seed"))
+        data = np.abs(np.random.Generator(np.random.PCG64(3)).standard_normal((60, 2)))
+        assert em_fit(data, config)[0] == em_fit(data, plain)[0]
 
 
 class TestBic:

@@ -91,6 +91,27 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             SimConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "trigger_range",
+            "crossing_length",
+            "free_flow_speed",
+            "arrival_rate",
+            "dt",
+            "horizon",
+            "vehicle_half_length",
+            "vehicle_half_width",
+            "detection_range",
+            "walk_speed_min",
+            "walk_speed_max",
+        ],
+    )
+    def test_float_fields_reject_a_bool(self, name):
+        # True is an int to isinstance; the config loader rejects it too.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SimConfig(**{name: True})
+
 
 class TestDetectCrash:
     CFG = SimConfig()

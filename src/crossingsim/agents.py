@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from crossingsim import checks
 from crossingsim.mixture import GaussianMixture
 from crossingsim.scenario import (
     Kinematics,
@@ -97,10 +98,8 @@ def sample_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSchedule:
     yields an empty schedule.  All gaps are drawn before any sides so
     the stream layout is part of the documented contract.
     """
-    if rate < 0 or not math.isfinite(rate):
-        raise ValueError(f"rate must be finite and >= 0, got {rate}")
-    if horizon < 0 or not math.isfinite(horizon):
-        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
+    rate = checks.real("rate", rate, low=0)
+    horizon = checks.real("horizon", horizon, low=0)
     rng = np.random.Generator(np.random.PCG64(seed))
     times: list[float] = []
     if rate > 0:
@@ -120,10 +119,8 @@ def fixed_count_arrivals(rate: float, count: int, seed: int) -> ArrivalSchedule:
     pedestrians, with the first stepping off the instant the vehicle
     reaches the trigger range.
     """
-    if not math.isfinite(rate):
-        raise ValueError(f"rate must be finite, got {rate}")
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    rate = checks.real("rate", rate)
+    count = checks.integer("count", count, low=0)
     if count > 1 and rate <= 0:
         raise ValueError("rate must be positive to space more than one arrival")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -326,10 +323,7 @@ class SoftYieldParams:
     accel_per_range: float = 0.010115  # 1/s^2
 
     def __post_init__(self) -> None:
-        for name in ("accel_intercept", "accel_per_speed", "accel_per_range"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        checks.fields(self, checks.real, "accel_intercept", "accel_per_speed", "accel_per_range")
 
 
 def soft_yield_decide(
@@ -471,13 +465,8 @@ class HumanDriverParams:
     recovery_acceleration: float = 1.0  # m/s^2 back toward free flow
 
     def __post_init__(self) -> None:
-        for name in ("update_interval", "max_acceleration"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        value = self.recovery_acceleration
-        if isinstance(value, bool) or not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"recovery_acceleration must be finite and >= 0, got {value!r}")
+        checks.fields(self, checks.real, "update_interval", "max_acceleration", low=0, strict=True)
+        checks.fields(self, checks.real, "recovery_acceleration", low=0)
 
 
 class HumanDriver:
@@ -505,11 +494,9 @@ class HumanDriver:
     ) -> None:
         if model.dim != 4:
             raise ValueError("human driver needs the 4-D interaction model")
-        if not free_flow_speed > 0:
-            raise ValueError(f"free_flow_speed must be positive, got {free_flow_speed!r}")
         self.model = model
         self.params = params
-        self.free_flow_speed = free_flow_speed
+        self.free_flow_speed = checks.real("free_flow_speed", free_flow_speed, low=0, strict=True)
         self.update_interval = params.update_interval
         self._next_update = 0.0
         self._held = 0.0  # acceleration commanded until the next update

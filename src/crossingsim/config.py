@@ -5,19 +5,20 @@ mixture, agents, eval, ingest, paths) plus a single master seed; every
 per-purpose random stream is derived from that seed, so one knob
 reproduces a full study.  Unknown keys anywhere are errors: a silently
 ignored typo in an experiment config corrupts results far downstream.
-So are values of the wrong type: an integer field takes an integer (not
-a bool or a float), a float field any finite number.
+Each section's class checks its own values, under the one rule of
+:mod:`crossingsim.checks` for what a number is; the loader adds the
+section's name to the message.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
+from crossingsim import checks
 from crossingsim.agents import HumanDriverParams, SoftYieldParams
 from crossingsim.mixture import FitConfig
 from crossingsim.sim import SimConfig, dt_fits
@@ -30,6 +31,9 @@ __all__ = [
     "PathsConfig",
     "RunConfig",
 ]
+
+# MixtureConfig's fields that its FitConfig takes as they are.
+_EM_KNOBS = set(FitConfig.__dataclass_fields__) - {"n_components", "seed"}
 
 
 @dataclass(frozen=True)
@@ -47,24 +51,17 @@ class MixtureConfig:
     mc_moment_draws: int = 20_000
 
     def __post_init__(self) -> None:
-        if self.k_min < 1 or self.k_max < self.k_min:
-            raise ValueError(f"need 1 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
-        if not math.isfinite(self.rate_threshold):
-            raise ValueError("rate_threshold must be finite")
-        self.fit_config(seed=0)  # FitConfig checks the EM knobs
+        checks.fields(self, checks.integer, "k_min", low=1)
+        checks.fields(self, checks.integer, "k_max", low=self.k_min)
+        checks.fields(self, checks.real, "rate_threshold")
+        fit = self.fit_config(seed=0)  # FitConfig checks the EM knobs
+        for name in _EM_KNOBS:
+            object.__setattr__(self, name, getattr(fit, name))
 
     def fit_config(self, seed: int) -> FitConfig:
         """EM settings of the sweep, starting at K = k_min."""
-        return FitConfig(
-            n_components=self.k_min,
-            max_iterations=self.max_iterations,
-            loglik_tolerance=self.loglik_tolerance,
-            restarts=self.restarts,
-            covariance_floor=self.covariance_floor,
-            seed=seed,
-            truncation_mode=self.truncation_mode,
-            mc_moment_draws=self.mc_moment_draws,
-        )
+        knobs = {name: getattr(self, name) for name in _EM_KNOBS}
+        return FitConfig(n_components=self.k_min, seed=seed, **knobs)
 
 
 @dataclass(frozen=True)
@@ -95,14 +92,11 @@ class EvalConfig:
     kappa_0: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.n_experiments < 1:
-            raise ValueError("n_experiments must be >= 1")
-        if (self.mu_0 is None) != (self.kappa_0 is None):
+        checks.fields(self, checks.integer, "n_experiments", low=1)
+        gates = [name for name in ("mu_0", "kappa_0") if getattr(self, name) is not None]
+        checks.fields(self, checks.real, *gates, low=0, strict=True)
+        if len(gates) == 1:
             raise ValueError("mu_0 and kappa_0 must be set together")
-        for name in ("mu_0", "kappa_0"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +106,7 @@ class IngestConfig:
     n_synthetic: int = 3000
 
     def __post_init__(self) -> None:
-        if self.n_synthetic < 0:
-            raise ValueError("n_synthetic must be >= 0")
+        checks.fields(self, checks.integer, "n_synthetic", low=0)
 
 
 @dataclass(frozen=True)
@@ -129,6 +122,11 @@ class PathsConfig:
     report: str = "report.json"
     series: str = "series.csv"
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -143,6 +141,7 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
     def __post_init__(self) -> None:
+        checks.fields(self, checks.integer, "master_seed")
         # The episode engine's own test: the human baseline's updates must
         # fall at least ten steps apart.
         interval = self.agents.human.update_interval
@@ -159,13 +158,13 @@ class RunConfig:
     def from_document(cls, doc: dict) -> "RunConfig":
         return _build(cls, doc)
 
-    def save(self, path: Union[str, Path]) -> None:
+    def save(self, path: str | Path) -> None:
         Path(path).write_text(
             json.dumps(self.to_document(), indent=2) + "\n", encoding="utf-8"
         )
 
     @classmethod
-    def load(cls, path: Union[str, Path]) -> "RunConfig":
+    def load(cls, path: str | Path) -> "RunConfig":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
@@ -174,12 +173,12 @@ class RunConfig:
 
 
 def _build(target: type, raw: object, label: str = "") -> object:
-    """``target`` built from the JSON object ``raw``, whose keys and values
-    are checked against ``target``'s fields.
+    """``target`` built from the JSON object ``raw``, whose keys are checked
+    against ``target``'s fields; ``target`` checks the values.
 
     A dataclass-typed field is built from its nested object the same way,
     under the label ``<label>.<key>``; the top level has an empty label.
-    Numbers in float fields come back as floats.
+    A section's error names the section: ``sim.dt must be ...``.
     """
     if not isinstance(raw, dict):
         where = f"config section {label!r}" if label else "config document"
@@ -189,30 +188,15 @@ def _build(target: type, raw: object, label: str = "") -> object:
         where = f"keys in section {label!r}" if label else "top-level config keys"
         raise ValueError(f"unknown {where}: {sorted(unknown)}")
     kinds = typing.get_type_hints(target)
-    values = {}
-    for key, value in raw.items():
-        name = f"{label}.{key}" if label else key
-        kind = kinds[key]
-        if is_dataclass(kind):
-            values[key] = _build(kind, value, name)
-        else:
-            values[key] = _typed(name, value, kind)
-    return target(**values)
-
-
-def _typed(key: str, value: object, kind: object) -> object:
-    """``value`` checked against ``kind``: int, float, str, or Optional of one."""
-    if typing.get_origin(kind) is Union:
-        if value is None:
-            return None
-        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
-    if kind is float:
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
-    return value
+    values = {
+        key: _build(kinds[key], value, f"{label}.{key}" if label else key)
+        if is_dataclass(kinds[key])
+        else value
+        for key, value in raw.items()
+    }
+    try:
+        return target(**values)
+    except ValueError as exc:
+        if not label:
+            raise
+        raise ValueError(f"{label}.{exc}") from exc

@@ -120,9 +120,7 @@ def generate_synthetic(model: GaussianMixture, n: int, seed: int) -> Observation
     box = model.truncation
     if box is None or not ((box.lower == 0).all() and np.isposinf(box.upper).all()):
         raise ValueError("generator must be truncated to the positive orthant")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    data = model.sample(n, seed)
+    data = model.sample(n, seed)  # which checks n as its count
     return ObservationMatrix(data, generator=json.loads(model.to_text()))
 
 

@@ -37,13 +37,13 @@ import bisect
 import itertools
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from crossingsim import checks
 from crossingsim.seeds import derive_seed
 
 __all__ = [
@@ -553,12 +553,7 @@ def truncated_moments(
             float(box.lower[0]),
             float(box.upper[0]),
         )
-    if (
-        isinstance(n_accepted, bool)
-        or not isinstance(n_accepted, (int, np.integer))
-        or n_accepted < 1
-    ):
-        raise ValueError(f"n_accepted must be a positive integer, got {n_accepted!r}")
+    n_accepted = checks.integer("n_accepted", n_accepted, low=1)
     chol = np.linalg.cholesky(component.covariance)
     stream = _NormalStream(seed, _first_block_rows(n_accepted), component.dim)
     return _moments_mc(component.mean[None], chol[None], box, n_accepted, [stream])[0]
@@ -970,8 +965,7 @@ class GaussianMixture:
             RuntimeError: acceptance rate below 1e-6 after a bounded
                 number of attempts.
         """
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-            raise ValueError(f"count must be a nonnegative integer, got {count!r}")
+        count = checks.integer("count", count, low=0)
         if count == 0:
             return np.empty((0, self.dim))
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -1258,30 +1252,16 @@ class FitConfig:
     mc_moment_draws: int = 20_000
 
     def __post_init__(self) -> None:
-        for name in ("n_components", "max_iterations", "restarts", "mc_moment_draws", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # derive_seed takes int alone
-        for name in ("loglik_tolerance", "covariance_floor"):
-            value = getattr(self, name)
-            finite = isinstance(value, numbers.Real) and math.isfinite(value)
-            if isinstance(value, bool) or not finite:
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.n_components < 1:
-            raise ValueError("n_components must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.loglik_tolerance <= 0:
-            raise ValueError("loglik_tolerance must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.covariance_floor < 0:
-            raise ValueError("covariance_floor must be >= 0")
+        # Counts come back as int: derive_seed takes int alone.
+        checks.fields(self, checks.integer, "n_components", "max_iterations", "restarts", low=1)
+        checks.fields(self, checks.integer, "mc_moment_draws", low=100)
+        checks.fields(self, checks.integer, "seed")
+        checks.fields(self, checks.real, "loglik_tolerance", low=0, strict=True)
+        checks.fields(self, checks.real, "covariance_floor", low=0)
         if self.truncation_mode not in ("none", "truncated"):
-            raise ValueError(f"unknown truncation_mode {self.truncation_mode!r}")
-        if self.mc_moment_draws < 100:
-            raise ValueError("mc_moment_draws must be >= 100")
+            raise ValueError(
+                f"truncation_mode must be 'none' or 'truncated', got {self.truncation_mode!r}"
+            )
 
 
 @dataclass

@@ -19,11 +19,11 @@ the two episodes differ only in the driving policy.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Generator, NamedTuple, Optional, Protocol, Sequence
 
+from crossingsim import checks
 from crossingsim.agents import (
     ArrivalSchedule,
     ModeQuery,
@@ -94,7 +94,9 @@ class SimConfig:
     walk_speed_max: float = 3.0
 
     def __post_init__(self) -> None:
-        positive = (
+        checks.fields(
+            self,
+            checks.real,
             "trigger_range",
             "crossing_length",
             "free_flow_speed",
@@ -105,25 +107,15 @@ class SimConfig:
             "detection_range",
             "walk_speed_min",
             "walk_speed_max",
+            low=0,
+            strict=True,
         )
-        for name in positive:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and math.isfinite(value) and value > 0
-            ):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        rate = self.arrival_rate
-        if isinstance(rate, bool) or not (
-            isinstance(rate, (int, float)) and math.isfinite(rate) and rate >= 0
-        ):
-            raise ValueError(f"arrival_rate must be finite and >= 0, got {rate!r}")
+        checks.fields(self, checks.real, "arrival_rate", low=0)
+        checks.fields(self, checks.integer, "fixed_count", low=0)
         if self.arrival_mode not in ("fixed", "poisson"):
             raise ValueError(
                 f"arrival_mode must be 'fixed' or 'poisson', got {self.arrival_mode!r}"
             )
-        count = self.fixed_count
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
-            raise ValueError(f"fixed_count must be a nonnegative integer, got {count!r}")
         if self.arrival_mode == "fixed" and self.fixed_count > 1 and self.arrival_rate == 0:
             raise ValueError("arrival_rate must be positive to space fixed_count > 1 arrivals")
         if self.walk_speed_min > self.walk_speed_max:
@@ -550,10 +542,8 @@ def run_paired_experiments(
     one chunk; each worker drives its own chunks.  Results come back
     ordered by index.
     """
-    if n_experiments < 1:
-        raise ValueError("n_experiments must be >= 1")
-    if parallel < 1:
-        raise ValueError("parallel must be >= 1")
+    n_experiments = checks.integer("n_experiments", n_experiments, low=1)
+    parallel = checks.integer("parallel", parallel, low=1)
     runner = partial(
         _run_pairs,
         config,
@@ -570,5 +560,7 @@ def run_paired_experiments(
 
     size = max(1, n_experiments // (4 * parallel))
     chunks = [range(i, min(i + size, n_experiments)) for i in range(0, n_experiments, size)]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
+    # A forking pool starts all its workers at the first submit, so it
+    # asks for none that would get no chunk.
+    with ProcessPoolExecutor(max_workers=min(parallel, len(chunks))) as pool:
         return [pair for chunk in pool.map(runner, chunks) for pair in chunk]

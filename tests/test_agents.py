@@ -110,7 +110,7 @@ class TestFixedCountArrivals:
 
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_rate_must_be_finite(self, rate):
-        with pytest.raises(ValueError, match="^rate must be finite"):
+        with pytest.raises(ValueError, match="^rate must be a finite number"):
             fixed_count_arrivals(rate, 3, seed=1)
 
 
@@ -234,7 +234,7 @@ class TestSoftYieldParams:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True])
     @pytest.mark.parametrize("name", ["accel_intercept", "accel_per_speed", "accel_per_range"])
     def test_coefficients_must_be_finite(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
             SoftYieldParams(**{name: value})
 
 

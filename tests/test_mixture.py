@@ -1283,7 +1283,7 @@ class TestSampling:
     @pytest.mark.parametrize("count", [-1, True, False, 2.5, 1.0, "3", None])
     def test_count_must_be_a_nonnegative_integer(self, count):
         model = GaussianMixture(np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1, 1)))
-        with pytest.raises(ValueError, match="count must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="^count must be an integer >= 0"):
             model.sample(count, seed=0)
 
     def test_one_row_draw_equals_the_array_loop(self):

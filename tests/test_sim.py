@@ -494,6 +494,39 @@ class TestPairedExperiments:
         )
         assert serial == forked
 
+    def test_pool_asks_for_no_worker_without_a_chunk(self, monkeypatch):
+        """2 pairs with parallel=8 are 2 chunks, so the pool gets 2 workers.
+
+        A forking pool starts every worker it is given at the first submit;
+        this recording pool runs the chunks in-process and starts none.
+        """
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return [fn(chunk) for chunk in chunks]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        model = diagonal_model()
+        candidate, baseline = paired_factories(model)
+        serial = run_paired_experiments(SimConfig(), model, candidate, baseline, 2, 11)
+        pooled = run_paired_experiments(
+            SimConfig(), model, candidate, baseline, 2, 11, parallel=8
+        )
+        assert asked == [2]
+        assert pooled == serial
+
     def test_input_validation(self):
         model = diagonal_model()
         candidate, baseline = paired_factories(model)

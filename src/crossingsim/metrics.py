@@ -61,10 +61,10 @@ def _numbers(doc: dict, key: str) -> tuple[float, ...]:
     return tuple(_to_float(v, key) for v in values)
 
 
-def _integer(doc: dict, key: str) -> int:
+def _count(doc: dict, key: str) -> int:
     value = _required(doc, key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"report key {key!r} must be an integer, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"report key {key!r} must be an integer >= 0, got {value!r}")
     return value
 
 
@@ -134,7 +134,9 @@ class EvaluationReport:
 
         Raises:
             ValueError: not a version-1 report, or a key that is missing
-                or holds a value of the wrong type (the message names it).
+                or holds a value of the wrong type, a negative count, or a
+                ``running_mean`` whose length is not ``tau``'s (the message
+                names the key).
         """
         if not isinstance(doc, dict):
             raise ValueError(f"a report document is a JSON object, got {type(doc).__name__}")
@@ -155,19 +157,26 @@ class EvaluationReport:
                 kappa_0=_number(gate_doc, "kappa_0", "gate."),
                 passed=passed,
             )
+        tau = _numbers(doc, "tau")
+        running_mean = _numbers(doc, "running_mean")
+        if len(running_mean) != len(tau):
+            raise ValueError(
+                f"report key 'running_mean' must have one entry per 'tau' entry, "
+                f"got {len(running_mean)} for {len(tau)}"
+            )
         return cls(
-            n_pairs=_integer(doc, "n_pairs"),
-            tau=_numbers(doc, "tau"),
-            running_mean=_numbers(doc, "running_mean"),
+            n_pairs=_count(doc, "n_pairs"),
+            tau=tau,
+            running_mean=running_mean,
             mu=_number(doc, "mu"),
             sigma=_number(doc, "sigma"),
             cv=_number(doc, "cv"),
             kappa=_number(doc, "kappa"),
-            n_excluded=_integer(doc, "n_excluded"),
-            candidate_crashes=_integer(doc, "candidate_crashes"),
-            candidate_timeouts=_integer(doc, "candidate_timeouts"),
-            baseline_crashes=_integer(doc, "baseline_crashes"),
-            baseline_timeouts=_integer(doc, "baseline_timeouts"),
+            n_excluded=_count(doc, "n_excluded"),
+            candidate_crashes=_count(doc, "candidate_crashes"),
+            candidate_timeouts=_count(doc, "candidate_timeouts"),
+            baseline_crashes=_count(doc, "baseline_crashes"),
+            baseline_timeouts=_count(doc, "baseline_timeouts"),
             gate=gate,
         )
 

@@ -23,12 +23,12 @@ that accepts fewer than n goes on sampling.  EM keeps one stream per
 restart and component: its first block is drawn once, and the rows past
 it are kept apart from it (:class:`FitConfig` gives their memory).
 
-The module needs numpy alone.  The 1-D closed forms take the normal CDF
-from a private port of Cephes' ``ndtr`` that equals ``scipy.special.ndtr``
-bit for bit, so no stage loads scipy.  Code that brings scipy back pays
-in memory wherever it runs: importing ``scipy.special`` adds about 25 MB
-to a process's peak resident memory, and ``scipy.stats.qmc`` about 46 MB
-more.
+The module needs numpy alone.  The 1-D closed forms (box masses and
+truncated moments) come from ``crossingsim/normal.py``, whose port of
+Cephes' ``ndtr`` equals ``scipy.special.ndtr`` bit for bit, so no stage
+loads scipy.  Code that brings scipy back pays in memory wherever it
+runs: importing ``scipy.special`` adds about 25 MB to a process's peak
+resident memory, and ``scipy.stats.qmc`` about 46 MB more.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from crossingsim import checks
+from crossingsim.normal import (
+    _MASS_FLOOR,
+    DegenerateTruncationError,
+    _moments_1d,
+    _scalar_interval_mass,
+    _standardize,
+)
 from crossingsim.seeds import derive_seed
 
 __all__ = [
@@ -67,7 +74,6 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Internal master seed for model-level normalization constants.  Fixed so
 # that two models with identical parameters report identical densities in
@@ -78,10 +84,6 @@ _MASS_SEED = 0x63726F73
 _MASS_DRAWS = 20_000
 # Fewest rows of a Monte Carlo draw block or continuation chunk.
 _MIN_CHUNK = 8192
-
-
-class DegenerateTruncationError(ValueError):
-    """The truncation box captures essentially no probability mass."""
 
 
 class ConditioningError(ValueError):
@@ -220,123 +222,6 @@ class TruncatedMoments:
     mass: float
     mean: np.ndarray
     covariance: np.ndarray
-
-
-def _std_pdf(x: float) -> float:
-    if math.isinf(x):
-        return 0.0
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
-
-
-def _x_times_pdf(x: float) -> float:
-    # x * phi(x) -> 0 in both tails; guard the inf * 0 indeterminate form.
-    if math.isinf(x):
-        return 0.0
-    return x * _std_pdf(x)
-
-
-# Cephes' normal CDF (S. L. Moshier, as in scipy.special's ``ndtr``),
-# ported operation for operation: the same coefficient tables, Horner
-# order, branch points and libm ``exp`` (through ``math.exp``), so every
-# result equals scipy's bit for bit without importing it.
-_SQRT1_2 = math.sqrt(0.5)
-_MAXLOG = 7.09782712893383996843e2  # log(2**1024); erfc(x) is 0 once x*x passes it
-# erfc(x) = exp(-x**2) P(x) / Q(x) for 1 <= x < 8, and R(x) / S(x) beyond.
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
-# erf(x) = x T(x**2) / U(x**2) for |x| <= 1.
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-
-
-def _polevl(x: float, coefs: tuple) -> float:
-    # Horner's rule, highest power first.  Cephes' p1evl, which leaves a
-    # leading 1 out of its table, gives the same bits, as 1.0 * x == x.
-    value = coefs[0]
-    for c in coefs[1:]:
-        value = value * x + c
-    return value
-
-
-def _erf(x: float) -> float:
-    # Only |x| <= 1 is asked for, where Cephes' erf is the T/U quotient.
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-
-
-def _erfc(x: float) -> float:
-    # Only x >= 0 is asked for, so Cephes' 2 - erfc(-x) branch is left out.
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    z = -x * x
-    if z < -_MAXLOG:
-        return 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        return z * _polevl(x, _ERFC_P) / _polevl(x, _ERFC_Q)
-    return z * _polevl(x, _ERFC_R) / _polevl(x, _ERFC_S)
-
-
-def _ndtr(a: float) -> float:
-    """Standard normal CDF at ``a``, equal to ``scipy.special.ndtr(a)``.
-
-    NaN propagates through the erfc branch, as in Cephes.
-    """
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0.0 else y
-
-
-def _scalar_interval_mass(alpha: float, beta: float) -> float:
-    # Difference of normal CDFs, evaluated on whichever tail avoids
-    # cancellation.
-    if alpha >= 0.0:
-        return _ndtr(-alpha) - _ndtr(-beta)
-    return _ndtr(beta) - _ndtr(alpha)
-
-
-def _moments_1d(mean: float, var: float, lo: float, hi: float) -> TruncatedMoments:
-    """Closed-form mass, mean, and variance of a box-truncated 1-D normal."""
-    sigma = math.sqrt(var)
-    alpha = (lo - mean) / sigma if math.isfinite(lo) else -math.inf
-    beta = (hi - mean) / sigma if math.isfinite(hi) else math.inf
-    mass = _scalar_interval_mass(alpha, beta)
-    if mass < 1e-300:
-        raise DegenerateTruncationError(
-            f"box [{lo}, {hi}] captures mass {mass} of N({mean}, {var})"
-        )
-    pdf_lo, pdf_hi = _std_pdf(alpha), _std_pdf(beta)
-    ratio = (pdf_lo - pdf_hi) / mass
-    t_mean = mean + sigma * ratio
-    t_var = var * (1.0 + (_x_times_pdf(alpha) - _x_times_pdf(beta)) / mass - ratio * ratio)
-    return TruncatedMoments(
-        mass=mass, mean=np.array([t_mean]), covariance=np.array([[t_var]])
-    )
 
 
 class _NormalStream:
@@ -532,8 +417,8 @@ def truncated_moments(
         seed: Monte Carlo seed; identical inputs give identical output.
 
     Raises:
-        DegenerateTruncationError: box mass below 1e-300 (exact path) or
-            too few accepted draws within the sampling budget (MC path).
+        DegenerateTruncationError: box mass below ``_MASS_FLOOR`` (exact path)
+            or too few accepted draws within the sampling budget (MC path).
         ValueError: n_accepted is not a positive integer (MC path).
     """
     if box.dim != component.dim:
@@ -547,12 +432,11 @@ def truncated_moments(
     if method == "exact" or (method == "auto" and component.dim == 1):
         if component.dim != 1 and not box.is_unbounded:
             raise ValueError("exact moments are only available for 1-D components")
-        return _moments_1d(
-            float(component.mean[0]),
-            float(component.covariance[0, 0]),
-            float(box.lower[0]),
-            float(box.upper[0]),
+        mass, mean, var = _moments_1d(
+            float(component.mean[0]), float(component.covariance[0, 0]),
+            float(box.lower[0]), float(box.upper[0]),
         )
+        return TruncatedMoments(mass=mass, mean=np.array([mean]), covariance=np.array([[var]]))
     n_accepted = checks.integer("n_accepted", n_accepted, low=1)
     chol = np.linalg.cholesky(component.covariance)
     stream = _NormalStream(seed, _first_block_rows(n_accepted), component.dim)
@@ -785,7 +669,7 @@ class GaussianMixture:
                 sds = map(math.sqrt, self.covariances[:, 0, 0].tolist())
                 masses = np.array(
                     [
-                        _scalar_interval_mass((lo - mean) / sd, (hi - mean) / sd)
+                        _scalar_interval_mass(*_standardize(lo, hi, mean, sd))
                         for mean, sd in zip(self.means[:, 0].tolist(), sds)
                     ]
                 )
@@ -826,7 +710,7 @@ class GaussianMixture:
                 any one component, weight 0 included.
         """
         masses = self._mass_table()
-        if (masses < 1e-300).any():
+        if (masses < _MASS_FLOOR).any():
             k = int(np.argmin(masses))
             raise DegenerateTruncationError(f"box captures mass {masses[k]} of component {k}")
         return masses
@@ -1057,17 +941,19 @@ class GaussianMixture:
         dim = _doc_count(doc, "dim")
         n_components = _doc_count(doc, "n_components")
         weights = _floats(_doc_field(doc, "weights", list), "weights")
+        if weights.shape != (n_components,):
+            raise ValueError(f"'weights' must be a list of {n_components} numbers")
         means = _floats(_doc_field(doc, "means", list), "means")
-        if means.size != n_components * dim:
-            raise ValueError("means do not match n_components and dim")
+        if means.shape != (n_components, dim):
+            raise ValueError(f"'means' must be {n_components} lists of {dim} numbers")
         covs_flat = _doc_field(doc, "covariances", list)
         if len(covs_flat) != n_components:
             raise ValueError("covariance count does not match n_components")
         covariances = []
         for k, flat in enumerate(covs_flat):
             entries = _floats(flat, f"covariances[{k}]")
-            if entries.size != dim * dim:
-                raise ValueError(f"covariances[{k}] must have dim * dim entries")
+            if entries.shape != (dim * dim,):
+                raise ValueError(f"covariances[{k}] must be a flat list of {dim * dim} numbers")
             covariances.append(entries.reshape(dim, dim))
         box_doc = doc.get("truncation")
         truncation = None
@@ -1084,7 +970,7 @@ class GaussianMixture:
             fit_seed = _doc_field(doc, "fit_seed", int)
         return cls(
             weights,
-            means.reshape(n_components, dim),
+            means,
             np.asarray(covariances),
             truncation=truncation,
             fit_seed=fit_seed,
@@ -1438,18 +1324,19 @@ def _em_run(
         if box is not None:
             if dim == 1:
                 lo, hi = float(box.lower[0]), float(box.upper[0])
-                moments = [
+                masses, t_means, t_vars = np.array([
                     _moments_1d(float(means[j, 0]), float(covs[j, 0, 0]), lo, hi)
                     for j in range(k)
-                ]
+                ]).T.copy()
+                inside = (masses, t_means.reshape(k, 1), t_vars.reshape(k, 1, 1))
             else:
                 moments = _moments_mc(means, chols, box, config.mc_moment_draws, streams)
-            masses = np.array([m.mass for m in moments])
-            inside = (
-                masses,
-                np.array([m.mean for m in moments]),
-                np.array([m.covariance for m in moments]),
-            )
+                masses = np.array([m.mass for m in moments])
+                inside = (
+                    masses,
+                    np.array([m.mean for m in moments]),
+                    np.array([m.covariance for m in moments]),
+                )
             ll -= n * math.log(float(weights @ masses))
         trace.append(ll)
         if iteration > 0 and abs(ll - trace[-2]) / n < config.loglik_tolerance:

@@ -17,27 +17,33 @@ and writes the computed entry only where the comparison fails, so an
 unchanged tree re-records byte for byte.  Per pin it prints the entries
 checked, the entries rewritten and the largest absolute change of any
 number in a rewritten entry, ``float.hex`` strings decoded; a change of
-shape or kind (an error that became a number) counts as ``inf``.
+shape or kind (an error that became a number) counts as ``inf``.  Its
+last line is the study's answer as ``study_corpus.json`` holds it (mu,
+kappa and the crash counts of the 1000-pair evaluate, each fit's
+selected K), to quote before and after any change.
 
 Only numpy and crossingsim are needed: no pytest, hypothesis or scipy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tempfile
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from crossingsim import mixture
+from crossingsim import cli, mixture
 from crossingsim.agents import (
     ArrivalSchedule,
     HumanDriver,
@@ -476,6 +482,16 @@ def strategy_recordings() -> tuple[list[EveryStep], list[EveryStep]]:
     return log[0::2], log[1::2]
 
 
+def compact_json(document) -> str:
+    """``json.dumps`` with indent 1, but each innermost list or object on
+    one line."""
+    return re.sub(
+        r"([\[{])\n\s*([^\[\]{}]*?)\n\s*([\]}])",
+        lambda m: m[1] + re.sub(r",\n\s*", ", ", m[2]) + m[3],
+        json.dumps(document, indent=1),
+    ) + "\n"
+
+
 def run_lengths(steps):
     """[acceleration, fallback, count] for each run of equal steps."""
     runs = []
@@ -522,13 +538,114 @@ class StrategyCommands(Pin):
         }
 
     def text(self, document):
-        """``json.dumps`` with indent 1, but each innermost list or object
-        on one line."""
-        return re.sub(
-            r"([\[{])\n\s*([^\[\]{}]*?)\n\s*([\]}])",
-            lambda m: m[1] + re.sub(r",\n\s*", ", ", m[2]) + m[3],
-            json.dumps(document, indent=1),
-        ) + "\n"
+        return compact_json(document)
+
+
+# ---------------------------------------------------------------------------
+# The study's answer: a 1000-pair evaluate, one simulate, fit-sweep's fits
+# ---------------------------------------------------------------------------
+
+STUDY_COUNTS = (
+    "n_excluded", "candidate_crashes", "candidate_timeouts", "baseline_crashes",
+    "baseline_timeouts",
+)
+
+
+def file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_stage(stage: str, directory: Path, seed: int) -> None:
+    """Run one CLI stage in-process in ``directory``, on its config.json."""
+    argv = [stage, "--config", str(directory / "config.json"), "--seed", str(seed)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = cli.main([*argv, "--out", str(directory)])
+    if status != cli.EXIT_OK:
+        raise RuntimeError(f"{stage} --seed {seed} exited {status}")
+
+
+def study_evaluate(directory: Path, seed: int) -> dict:
+    """``evaluate`` on the reference generator: mu, sigma, cv and kappa as
+    ``float.hex``, the five counts, and SHA-256 of both written files."""
+    reference_model().save(directory / "model.json")
+    run_stage("evaluate", directory, seed)
+    report = json.loads((directory / "report.json").read_text())
+    return {
+        **{key: float.hex(report[key]) for key in ("mu", "sigma", "cv", "kappa")},
+        **{key: report[key] for key in STUDY_COUNTS},
+        "report_sha256": file_sha256(directory / "report.json"),
+        "series_sha256": file_sha256(directory / "series.csv"),
+    }
+
+
+def study_simulate(directory: Path, seed: int) -> dict:
+    """``simulate`` on the reference generator: SHA-256 of ``trajectory.csv``.
+
+    Its rows hold the vehicle's state between steps, which the evaluate's
+    passing times, whole steps of ``dt``, do not show.
+    """
+    reference_model().save(directory / "model.json")
+    run_stage("simulate", directory, seed)
+    return {"trajectory_sha256": file_sha256(directory / "trajectory.csv")}
+
+
+def study_fit(directory: Path, seed: int) -> dict:
+    """``gen-data`` then ``fit``: the selected K, each K's BIC as
+    ``float.hex``, and SHA-256 of ``model.json`` and ``bic_curve.csv``."""
+    run_stage("gen-data", directory, seed)
+    run_stage("fit", directory, seed)
+    curve = [line.split(",") for line in (directory / "bic_curve.csv").read_text().split()[1:]]
+    return {
+        "selected_k": json.loads((directory / "model.json").read_text())["n_components"],
+        "bic": [[int(k), float.hex(float(value))] for k, value, _ in curve],
+        "model_sha256": file_sha256(directory / "model.json"),
+        "bic_curve_sha256": file_sha256(directory / "bic_curve.csv"),
+    }
+
+
+STUDY_STAGES = {"evaluate": study_evaluate, "simulate": study_simulate, "fit": study_fit}
+
+
+class Study(Table):
+    """{stage, seed, config} -> the pinned outputs of that CLI stage, run
+    in-process in a fresh directory and compared with ``==``.
+
+    The rows are the study's evaluate (the reference generator as the
+    model, master seed 10004, 1000 pairs, default settings otherwise), the
+    simulate of that seed's first episode, and ``fit-sweep``'s fits
+    (``perfbench/workloads.py``) on its panel's slots 0-7, master seeds
+    10000-10007.
+    """
+
+    path = TESTS / "study_corpus.json"
+
+    def compute(self, inputs):
+        with tempfile.TemporaryDirectory() as name:
+            directory = Path(name)
+            (directory / "config.json").write_text(json.dumps(inputs["config"]))
+            return STUDY_STAGES[inputs["stage"]](directory, inputs["seed"])
+
+    def agrees(self, inputs, recorded, computed):
+        return recorded == computed
+
+    def text(self, document):
+        return compact_json(document)
+
+
+def study_line(document: dict) -> str:
+    """The study's answer in one line, from a ``study_corpus.json`` document."""
+    fits, evaluate = [], None
+    for row in document["rows"]:
+        if row["inputs"]["stage"] == "evaluate":
+            evaluate = row["output"]
+        elif row["inputs"]["stage"] == "fit":
+            fits.append(row["output"]["selected_k"])
+    mu, kappa = (float.fromhex(evaluate[key]) for key in ("mu", "kappa"))
+    return (
+        f"study: mu {mu:.6f} kappa {kappa:.6g} ({evaluate['candidate_crashes']} crashes, "
+        f"{evaluate['candidate_timeouts']} time-outs), baseline "
+        f"{evaluate['baseline_crashes']} crashes; fit K by slot {' '.join(map(str, fits))}"
+    )
 
 
 WALK_SPEEDS = WalkSpeeds()
@@ -536,7 +653,8 @@ HUMAN_DECISIONS = HumanDecisions()
 TRUNCATED_SWEEPS = TruncatedSweeps()
 EPISODES = Episodes()
 STRATEGY_COMMANDS = StrategyCommands()
-PINS = (WALK_SPEEDS, HUMAN_DECISIONS, TRUNCATED_SWEEPS, EPISODES, STRATEGY_COMMANDS)
+STUDY = Study()
+PINS = (WALK_SPEEDS, HUMAN_DECISIONS, TRUNCATED_SWEEPS, EPISODES, STRATEGY_COMMANDS, STUDY)
 
 
 def refresh_expected(path: Path) -> Summary:
@@ -570,6 +688,7 @@ def main() -> None:
             f"{path.relative_to(TESTS.parent)}: {checked} checked, {rewritten} rewritten, "
             f"largest change {change:.3g}"
         )
+    print(study_line(STUDY.load()))
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ def malformed_model_documents(draw):
     """A valid model document with exactly one thing broken, as JSON text."""
     doc = json.loads(json.dumps(VALID_MODEL))
     fault = draw(
-        st.sampled_from(["drop", "count", "array", "entry", "box", "bound", "seed"])
+        st.sampled_from(["drop", "count", "array", "entry", "shape", "box", "bound", "seed"])
     )
     if fault == "drop":
         del doc[draw(st.sampled_from(REQUIRED_KEYS))]
@@ -86,6 +86,20 @@ def malformed_model_documents(draw):
             doc[key][draw(st.integers(0, 2))] = bad
         else:
             doc[key][draw(st.integers(0, 2))][draw(st.integers(0, 3))] = bad
+    elif fault == "shape":
+        # The right count of numbers in the wrong shape: a weight too many
+        # or too few, the 3 x 4 means as 12, 12 x 1, 2 x 6 or 6 x 2, or one
+        # covariance as 4 rows of 4 where the format has a flat list.
+        key = draw(st.sampled_from(["weights", "means", "covariances"]))
+        if key == "weights":
+            doc[key] = doc[key] + [0.0] if draw(st.booleans()) else doc[key][:-1]
+        elif key == "means":
+            flat = [x for row in doc[key] for x in row]
+            width = draw(st.sampled_from([0, 1, 6, 2]))
+            doc[key] = flat if width == 0 else [flat[i:i + width] for i in range(0, 12, width)]
+        else:
+            k = draw(st.integers(0, 2))
+            doc[key][k] = [doc[key][k][i:i + 4] for i in range(0, 16, 4)]
     elif fault == "box":
         doc["truncation"] = draw(NOT_LISTS.filter(lambda v: v is not None))
     elif fault == "bound":

@@ -1,7 +1,9 @@
 """Import cost: no stage loads scipy, and only a parallel run the process pool.
 
 A fresh interpreter runs the stages in process and reports, after each,
-which scipy modules and process-pool modules it has loaded.
+which scipy modules and process-pool modules it has loaded.  Another
+imports the scalar normal layer alone, which loads no other module of
+the package.
 """
 
 import json
@@ -71,3 +73,25 @@ def test_scipy_special_and_linalg_load_only_when_needed(tmp_path):
     # mode search is the package's own, and a serial evaluate starts no pool.
     for stage in ("gen-data", "fit", "condition", "simulate", "evaluate"):
         assert report[stage] == {"status": 0, "loaded": []}, stage
+
+
+# The package's __init__ imports every module, so the child puts a bare
+# package in its place and imports crossingsim.normal alone.
+LEAF = """
+import json, sys, types
+package = types.ModuleType("crossingsim")
+package.__path__ = [sys.argv[1] + "/crossingsim"]
+sys.modules["crossingsim"] = package
+import crossingsim.normal
+print(json.dumps(sorted(
+    name for name in sys.modules if name.split(".")[0] in ("crossingsim", "scipy")
+)))
+"""
+
+
+def test_normal_layer_imports_no_other_module_of_the_package():
+    child = subprocess.run(
+        [sys.executable, "-c", LEAF, SRC], capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == ["crossingsim", "crossingsim.normal"]

@@ -198,7 +198,7 @@ def malformed_report_documents(draw):
     if draw(st.booleans()):
         del section[key]
     elif name in INTEGER_KEYS:
-        section[key] = draw(st.one_of(NOT_NUMBERS, st.floats()))
+        section[key] = draw(st.one_of(NOT_NUMBERS, st.floats(), st.integers(max_value=-1)))
     elif name in NUMBER_KEYS:
         section[key] = draw(st.one_of(NOT_NUMBERS, st.just(10**400)))
     elif name in LIST_KEYS:
@@ -208,6 +208,8 @@ def malformed_report_documents(draw):
                 st.text(max_size=4),
                 st.none(),
                 st.lists(NOT_NUMBERS, min_size=1, max_size=2),
+                # numbers, but not one per entry of the other list
+                st.lists(st.floats(0.5, 2.0), max_size=5).filter(lambda v: len(v) != 3),
             )
         )
     elif name == "gate":
@@ -233,6 +235,27 @@ class TestMalformedDocuments:
 
     def test_valid_document_loads(self):
         assert EvaluationReport.from_document(VALID_REPORT).to_document() == VALID_REPORT
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_pairs", -3),
+            ("n_excluded", -1),
+            ("candidate_crashes", -1),
+            ("candidate_timeouts", -2),
+            ("baseline_crashes", -1),
+            ("baseline_timeouts", -1),
+            ("running_mean", VALID_REPORT["running_mean"][:2]),
+            ("tau", VALID_REPORT["tau"] + [1.0]),
+        ],
+    )
+    def test_impossible_report_is_a_value_error_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=repr(key)):
+            EvaluationReport.from_document(dict(VALID_REPORT, **{key: value}))
+
+    def test_zero_counts_load(self):
+        doc = dict(VALID_REPORT, n_excluded=0, candidate_crashes=0, baseline_timeouts=0)
+        assert EvaluationReport.from_document(doc).to_document() == doc
 
     @settings(max_examples=200)
     @given(case=malformed_report_documents())

@@ -9,8 +9,8 @@ alike.
 * anything else (a str, None), or a number too large for a float, raises
   ``ValueError`` whose message starts with the name of the value.
 
-The readers of written reports and models keep their own rules: they take
-NaN or null where the file format allows it.
+The readers of ``model.json`` and ``report.json`` check their values here
+too, with :func:`present` for a key and :func:`reals` for a nested list.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 import numbers
 
-__all__ = ["integer", "real", "fields"]
+__all__ = ["integer", "real", "fields", "present", "reals"]
 
 
 def _finite(value: object, kind: type) -> float | None:
     """``value`` as a finite float; None for a bool, a non-``kind`` or a non-finite value."""
+    if type(value) is float:  # the common case, without the ABC check
+        return value if kind is numbers.Real and math.isfinite(value) else None
     if isinstance(value, bool) or not isinstance(value, kind):
         return None
     try:
@@ -54,3 +56,23 @@ def fields(obj: object, check, *names: str, **bounds: object) -> None:
     (:func:`integer` or :func:`real`) with ``bounds``, and stored as it returns."""
     for name in names:
         object.__setattr__(obj, name, check(name, getattr(obj, name), **bounds))
+
+
+def present(name: str, doc: dict, key: str) -> object:
+    """``doc[key]``, which must be there; ``name`` names it in the error."""
+    if key in doc:
+        return doc[key]
+    raise ValueError(f"{name} is missing")
+
+
+def reals(name: str, value: object, shape: tuple[int, ...]) -> list:
+    """Nested lists of finite reals in exactly ``shape``, as lists of floats.
+
+    An entry or a list that does not fit is named by its path, such as
+    ``means[1]`` for the second list of ``means``.
+    """
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ValueError(f"{name} must be a list of {shape[0]} entries, got {value!r}")
+    if len(shape) == 1:
+        return [real(f"{name}[{i}]", entry) for i, entry in enumerate(value)]
+    return [reals(f"{name}[{i}]", entry, shape[1:]) for i, entry in enumerate(value)]

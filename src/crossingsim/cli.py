@@ -36,7 +36,7 @@ from crossingsim.metrics import compute_report, write_series
 from crossingsim.mixture import GaussianMixture, n_free_parameters, select_components
 from crossingsim.scenario import OBS_COLUMNS
 from crossingsim.seeds import derive_seed
-from crossingsim.sim import experiment_schedule, run_episode, run_paired_experiments
+from crossingsim.sim import experiment_inputs, run_episode, run_paired_experiments
 
 __all__ = [
     "main",
@@ -290,10 +290,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     model = _load_model(config, out_dir)
     if model.dim != 4:
         raise UsageError(f"simulation needs a 4-D model, got dim {model.dim}")
-    schedule = experiment_schedule(config.sim, config.master_seed, 0)
-    walk_seeds = [
-        derive_seed(config.master_seed, "walk-0", j) for j in range(len(schedule))
-    ]
+    schedule, walk_seeds = experiment_inputs(config.sim, config.master_seed, 0)
     result = run_episode(
         config.sim,
         _candidate_factory(config, model)(),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from crossingsim import checks
 from crossingsim.sim import PairResult
 
 __all__ = [
@@ -32,40 +33,7 @@ __all__ = [
 
 _FORMAT = "crossingsim-report"
 _VERSION = 1
-
-
-def _required(doc: dict, key: str, prefix: str = ""):
-    if key not in doc:
-        raise ValueError(f"report document lacks key {prefix + key!r}")
-    return doc[key]
-
-
-def _to_float(value, name: str) -> float:
-    # bool is an int subclass, but true is not a number in a report.
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ValueError(f"report key {name!r} must be a number, got {value!r}")
-
-
-def _number(doc: dict, key: str, prefix: str = "") -> float:
-    return _to_float(_required(doc, key, prefix), prefix + key)
-
-
-def _numbers(doc: dict, key: str) -> tuple[float, ...]:
-    values = _required(doc, key)
-    if not isinstance(values, list):
-        raise ValueError(f"report key {key!r} must be a list of numbers, got {values!r}")
-    return tuple(_to_float(v, key) for v in values)
-
-
-def _count(doc: dict, key: str) -> int:
-    value = _required(doc, key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"report key {key!r} must be an integer >= 0, got {value!r}")
-    return value
+_COUNTS = ("candidate_crashes", "candidate_timeouts", "baseline_crashes", "baseline_timeouts")
 
 
 @dataclass(frozen=True)
@@ -132,11 +100,18 @@ class EvaluationReport:
     def from_document(cls, doc: dict) -> "EvaluationReport":
         """Rebuild a report from :meth:`to_document` output.
 
+        ``n_pairs``, ``tau``, the four counts and the gate thresholds are
+        read; every other value is computed from them as
+        :func:`compute_report` computes it, and must equal the stored one
+        bit for bit (NaN matching NaN).
+
         Raises:
-            ValueError: not a version-1 report, or a key that is missing
-                or holds a value of the wrong type, a negative count, or a
-                ``running_mean`` whose length is not ``tau``'s (the message
-                names the key).
+            ValueError: not a version-1 report, or a key that is missing,
+                holds a value of the wrong type or a ``tau`` that
+                :func:`compute_report` refuses, breaks a count invariant
+                (``len(tau) <= n_pairs``, each side's crashes plus
+                time-outs at most ``n_pairs - len(tau)``) or contradicts
+                the values it is computed from (the message names the key).
         """
         if not isinstance(doc, dict):
             raise ValueError(f"a report document is a JSON object, got {type(doc).__name__}")
@@ -144,41 +119,46 @@ class EvaluationReport:
             raise ValueError(f"not a report document: format={doc.get('format')!r}")
         if doc.get("version") != _VERSION:
             raise ValueError(f"unsupported report version {doc.get('version')!r}")
-        gate_doc = _required(doc, "gate")
-        gate = None
-        if gate_doc is not None:
-            if not isinstance(gate_doc, dict):
-                raise ValueError(f"report key 'gate' must be an object or null, got {gate_doc!r}")
-            passed = _required(gate_doc, "passed", "gate.")
-            if not isinstance(passed, bool):
-                raise ValueError(f"report key 'gate.passed' must be a boolean, got {passed!r}")
-            gate = GateDecision(
-                mu_0=_number(gate_doc, "mu_0", "gate."),
-                kappa_0=_number(gate_doc, "kappa_0", "gate."),
-                passed=passed,
-            )
-        tau = _numbers(doc, "tau")
-        running_mean = _numbers(doc, "running_mean")
-        if len(running_mean) != len(tau):
+        gate_doc = checks.present("'gate'", doc, "gate")
+        if gate_doc is not None and not isinstance(gate_doc, dict):
+            raise ValueError(f"'gate' must be an object or null, got {gate_doc!r}")
+        n_pairs = checks.integer("'n_pairs'", checks.present("'n_pairs'", doc, "n_pairs"), low=1)
+        tau = checks.present("'tau'", doc, "tau")
+        if not isinstance(tau, list) or len(tau) > n_pairs:
             raise ValueError(
-                f"report key 'running_mean' must have one entry per 'tau' entry, "
-                f"got {len(running_mean)} for {len(tau)}"
+                f"'tau' must be a list of at most 'n_pairs' = {n_pairs} numbers, got {tau!r}"
             )
-        return cls(
-            n_pairs=_count(doc, "n_pairs"),
-            tau=tau,
-            running_mean=running_mean,
-            mu=_number(doc, "mu"),
-            sigma=_number(doc, "sigma"),
-            cv=_number(doc, "cv"),
-            kappa=_number(doc, "kappa"),
-            n_excluded=_count(doc, "n_excluded"),
-            candidate_crashes=_count(doc, "candidate_crashes"),
-            candidate_timeouts=_count(doc, "candidate_timeouts"),
-            baseline_crashes=_count(doc, "baseline_crashes"),
-            baseline_timeouts=_count(doc, "baseline_timeouts"),
-            gate=gate,
+        tau = checks.reals("'tau'", tau, (len(tau),))
+        counts = {
+            key: checks.integer(repr(key), checks.present(repr(key), doc, key), low=0)
+            for key in _COUNTS
+        }
+        for side in ("candidate", "baseline"):
+            failed = counts[f"{side}_crashes"] + counts[f"{side}_timeouts"]
+            if failed > n_pairs - len(tau):
+                raise ValueError(
+                    f"'{side}_crashes' plus '{side}_timeouts' is {failed}, more than the "
+                    f"{n_pairs - len(tau)} pairs that 'n_pairs' and 'tau' leave excluded"
+                )
+        gate = None if gate_doc is None else tuple(
+            checks.real(f"'gate.{key}'", checks.present(f"'gate.{key}'", gate_doc, key))
+            for key in ("mu_0", "kappa_0")
         )
+        report = _report(n_pairs, tau, gate, **counts)
+        derived = [
+            (repr(key), doc, key, getattr(report, key))
+            for key in ("running_mean", "n_excluded", "mu", "sigma", "cv", "kappa")
+        ]
+        if gate_doc is not None:
+            derived.append(("'gate.passed'", gate_doc, "passed", report.gate.passed))
+        for name, section, key, want in derived:
+            value = checks.present(name, section, key)
+            if not _agrees(name, value, want):
+                raise ValueError(
+                    f"{name} is {value!r}, but 'n_pairs', 'tau', the counts and the gate "
+                    f"give {want!r}"
+                )
+        return report
 
     def save(self, path: Union[str, Path]) -> None:
         text = json.dumps(self.to_document(), indent=2)
@@ -202,8 +182,10 @@ def compute_report(
     must be given together or not at all; the verdict is the strict
     conjunction mu < mu_0 and kappa < kappa_0.
 
-    Raises ValueError on an empty batch, on a completed episode with a
-    nonpositive passing time (malformed input), or on a half-set gate.
+    Raises ValueError on malformed input: an empty batch, an episode that
+    both crashed and timed out, a nonpositive passing time, time ratios
+    that are not finite and positive or whose spread overflows, or a
+    half-set or non-finite gate.
     """
     if len(pairs) == 0:
         raise ValueError("need at least one pair")
@@ -211,28 +193,37 @@ def compute_report(
         raise ValueError("mu_0 and kappa_0 must be set together")
 
     tau: list[float] = []
-    candidate_crashes = 0
-    candidate_timeouts = 0
-    baseline_crashes = 0
-    baseline_timeouts = 0
+    counts = dict.fromkeys(_COUNTS, 0)
     for pair in pairs:
-        cand, base = pair.candidate, pair.baseline
-        candidate_crashes += cand.crashed
-        candidate_timeouts += cand.timed_out
-        baseline_crashes += base.crashed
-        baseline_timeouts += base.timed_out
-        if any(ep.completed and ep.passing_time <= 0 for ep in (cand, base)):
-            raise ValueError(
-                f"pair {pair.index}: nonpositive passing time "
-                f"({cand.passing_time}, {base.passing_time})"
-            )
+        for side, ep in (("candidate", pair.candidate), ("baseline", pair.baseline)):
+            if ep.crashed and ep.timed_out:
+                raise ValueError(f"pair {pair.index}: the {side} both crashed and timed out")
+            if ep.completed and ep.passing_time <= 0:
+                raise ValueError(
+                    f"pair {pair.index}: nonpositive {side} passing time {ep.passing_time}"
+                )
+            counts[f"{side}_crashes"] += ep.crashed
+            counts[f"{side}_timeouts"] += ep.timed_out
         ratio = pair.time_ratio
         if ratio is not None:
-            tau.append(ratio)
+            tau.append(checks.real(f"pair {pair.index}: tau", ratio))
 
-    n = len(pairs)
-    kappa = (candidate_crashes + candidate_timeouts) / n
+    gate = None if mu_0 is None else (checks.real("mu_0", mu_0), checks.real("kappa_0", kappa_0))
+    return _report(len(pairs), tau, gate, **counts)
 
+
+def _report(
+    n_pairs: int, tau: Sequence[float], gate: Optional[tuple[float, float]], **counts: int
+) -> EvaluationReport:
+    """The report of ``n_pairs`` pairs with time ratios ``tau``, the gate
+    thresholds ``(mu_0, kappa_0)`` or None, and the four failure counts.
+
+    Every derived value is computed here, for :func:`compute_report` and
+    the reader alike.
+    """
+    if any(t <= 0 for t in tau):
+        raise ValueError(f"'tau' must hold positive time ratios, got {list(tau)!r}")
+    kappa = (counts["candidate_crashes"] + counts["candidate_timeouts"]) / n_pairs
     running: list[float] = []
     total = 0.0
     for i, t in enumerate(tau):
@@ -240,33 +231,53 @@ def compute_report(
         running.append(total / (i + 1))
     if tau:
         mu = running[-1]
-        sigma = math.sqrt(sum((t - mu) ** 2 for t in tau) / len(tau))
+        try:
+            sigma = math.sqrt(sum((t - mu) ** 2 for t in tau) / len(tau))
+        except OverflowError as exc:
+            raise ValueError(f"'tau' gives no sigma: {exc}") from exc
         cv = sigma / mu
     else:
         mu = sigma = cv = math.nan
 
-    gate = None
-    if mu_0 is not None and kappa_0 is not None:
-        gate = GateDecision(
-            mu_0=float(mu_0),
-            kappa_0=float(kappa_0),
-            passed=bool(mu < mu_0 and kappa < kappa_0),
-        )
+    decision = None
+    if gate is not None:
+        mu_0, kappa_0 = gate
+        decision = GateDecision(mu_0=mu_0, kappa_0=kappa_0, passed=mu < mu_0 and kappa < kappa_0)
 
     return EvaluationReport(
-        n_pairs=n,
+        n_pairs=n_pairs,
         tau=tuple(tau),
         running_mean=tuple(running),
         mu=mu,
         sigma=sigma,
         cv=cv,
         kappa=kappa,
-        n_excluded=n - len(tau),
-        candidate_crashes=candidate_crashes,
-        candidate_timeouts=candidate_timeouts,
-        baseline_crashes=baseline_crashes,
-        baseline_timeouts=baseline_timeouts,
-        gate=gate,
+        n_excluded=n_pairs - len(tau),
+        gate=decision,
+        **counts,
+    )
+
+
+def _agrees(name: str, value: object, want: object) -> bool:
+    """Whether a stored derived ``value`` is ``want``, of its type and bit
+    for bit, NaN matching NaN; a value of the wrong type raises ValueError
+    that names ``name``."""
+    if isinstance(want, bool):
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be a boolean, got {value!r}")
+        return value is want
+    if isinstance(want, int):
+        return checks.integer(name, value) == want
+    if isinstance(want, float):
+        # A NaN or infinite want is matched by the stored float itself, so
+        # no NaN goes through checks.real.
+        if not (isinstance(value, float) and not math.isfinite(want)):
+            value = checks.real(name, value)
+        return value.hex() == want.hex()
+    return (
+        isinstance(value, list)
+        and len(value) == len(want)
+        and all(_agrees(f"{name}[{i}]", v, w) for i, (v, w) in enumerate(zip(value, want)))
     )
 
 

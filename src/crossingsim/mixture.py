@@ -497,46 +497,6 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
     return np.where(weights > 0, np.log(np.maximum(weights, 1e-300)), -np.inf)
 
 
-def _doc_field(doc: dict, key: str, kind: type):
-    """``doc[key]``, which must be a ``kind`` (bools are not numbers)."""
-    if key not in doc:
-        raise ValueError(f"model document lacks {key!r}")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
-def _doc_count(doc: dict, key: str) -> int:
-    value = _doc_field(doc, key, int)
-    if value < 1:
-        raise ValueError(f"{key!r} must be positive, got {value}")
-    return value
-
-
-def _floats(value: object, what: str, nulls: Optional[float] = None) -> np.ndarray:
-    """Nested JSON lists of numbers as a float array.
-
-    Nulls become ``nulls`` where that is given.  Any other entry that is
-    not a number, a number out of float range, or ragged nesting raises
-    ValueError.
-    """
-
-    def number(entry: object) -> object:
-        if isinstance(entry, list):
-            return [number(e) for e in entry]
-        if entry is None and nulls is not None:
-            return nulls
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ValueError(f"{what} holds {entry!r}, expected a number")
-        try:
-            return float(entry)
-        except OverflowError as exc:
-            raise ValueError(f"{what} holds {entry}, out of float range") from exc
-
-    return np.asarray(number(value), dtype=float)
-
-
 class GaussianMixture:
     """Weighted Gaussian mixture, optionally truncated to a box.
 
@@ -938,40 +898,42 @@ class GaussianMixture:
             raise ValueError("not a crossingsim mixture document")
         if doc.get("version") != 1:
             raise ValueError(f"unsupported model version {doc.get('version')!r}")
-        dim = _doc_count(doc, "dim")
-        n_components = _doc_count(doc, "n_components")
-        weights = _floats(_doc_field(doc, "weights", list), "weights")
-        if weights.shape != (n_components,):
-            raise ValueError(f"'weights' must be a list of {n_components} numbers")
-        means = _floats(_doc_field(doc, "means", list), "means")
-        if means.shape != (n_components, dim):
-            raise ValueError(f"'means' must be {n_components} lists of {dim} numbers")
-        covs_flat = _doc_field(doc, "covariances", list)
-        if len(covs_flat) != n_components:
-            raise ValueError("covariance count does not match n_components")
-        covariances = []
-        for k, flat in enumerate(covs_flat):
-            entries = _floats(flat, f"covariances[{k}]")
-            if entries.shape != (dim * dim,):
-                raise ValueError(f"covariances[{k}] must be a flat list of {dim * dim} numbers")
-            covariances.append(entries.reshape(dim, dim))
+        dim, n_components = (
+            checks.integer(repr(key), checks.present(repr(key), doc, key), low=1)
+            for key in ("dim", "n_components")
+        )
+        weights, means, covariances = (
+            checks.reals(repr(key), checks.present(repr(key), doc, key), shape)
+            for key, shape in (
+                ("weights", (n_components,)),
+                ("means", (n_components, dim)),
+                # Row-major flattening of each component covariance.
+                ("covariances", (n_components, dim * dim)),
+            )
+        )
         box_doc = doc.get("truncation")
         truncation = None
         if box_doc is not None:
             if not isinstance(box_doc, dict):
                 raise ValueError("truncation must be an object or null")
             # Infinite bounds are written as nulls.
-            truncation = TruncationBox(
-                _floats(_doc_field(box_doc, "lower", list), "lower", nulls=-np.inf),
-                _floats(_doc_field(box_doc, "upper", list), "upper", nulls=np.inf),
-            )
+            bounds = []
+            for side, infinity in (("lower", -math.inf), ("upper", math.inf)):
+                entries = checks.present(repr(side), box_doc, side)
+                if not isinstance(entries, list) or len(entries) != dim:
+                    raise ValueError(f"{side!r} must be a list of {dim} entries, got {entries!r}")
+                bounds.append([
+                    infinity if v is None else checks.real(f"{side!r}[{i}]", v)
+                    for i, v in enumerate(entries)
+                ])
+            truncation = TruncationBox(*bounds)
         fit_seed = doc.get("fit_seed")
         if fit_seed is not None:
-            fit_seed = _doc_field(doc, "fit_seed", int)
+            fit_seed = checks.integer("'fit_seed'", fit_seed)
         return cls(
             weights,
             means,
-            np.asarray(covariances),
+            np.reshape(covariances, (n_components, dim, dim)),
             truncation=truncation,
             fit_seed=fit_seed,
         )

@@ -44,6 +44,7 @@ __all__ = [
     "DrivingStrategy",
     "detect_crash",
     "experiment_schedule",
+    "experiment_inputs",
     "run_episode",
     "run_paired_experiments",
 ]
@@ -485,6 +486,14 @@ def experiment_schedule(config: SimConfig, master_seed: int, index: int) -> Arri
     return sample_arrivals(config.arrival_rate, config.horizon, seed)
 
 
+def experiment_inputs(
+    config: SimConfig, master_seed: int, index: int
+) -> tuple[ArrivalSchedule, list[int]]:
+    """Experiment ``index``'s arrival schedule and one walk-speed seed per arrival."""
+    schedule = experiment_schedule(config, master_seed, index)
+    return schedule, [derive_seed(master_seed, f"walk-{index}", j) for j in range(len(schedule))]
+
+
 def _run_pairs(
     config: SimConfig,
     model: GaussianMixture,
@@ -500,10 +509,7 @@ def _run_pairs(
     """
     pairs = []
     for index in indices:
-        schedule = experiment_schedule(config, master_seed, index)
-        walk_seeds = [
-            derive_seed(master_seed, f"walk-{index}", j) for j in range(len(schedule))
-        ]
+        schedule, walk_seeds = experiment_inputs(config, master_seed, index)
         pairs.append((schedule, walk_seeds, candidate_factory(), baseline_factory()))
     candidates = _drive(
         [

@@ -74,6 +74,47 @@ class TestReal:
             checks.real("x", -1, low=0)
 
 
+class TestReals:
+    # Every fault is named by its path, from the name down to the entry.
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (True, "x must be a list of 2 entries, got True"),
+            (10**400, "x must be a list of 2 entries, got 1"),
+            ([[1.0, 2.0], [3.0]], "x[1] must be a list of 2 entries, got [3.0]"),
+            ([[1.0, 2.0]], "x must be a list of 2 entries, got [[1.0, 2.0]]"),
+            ([[1.0, [2.0]], [3.0, 4.0]], "x[0][1] must be a finite number, got [2.0]"),
+            ([[1.0, 2.0], [3.0, True]], "x[1][1] must be a finite number, got True"),
+            ([[1.0, 2.0], [10**400, 4.0]], "x[1][0] must be a finite number, got 1"),
+            ([[1.0, math.nan], [3.0, 4.0]], "x[0][1] must be a finite number, got nan"),
+            ([[1.0, 2.0], ["3", 4.0]], "x[1][0] must be a finite number, got '3'"),
+            ([[1.0, 2.0], [None, 4.0]], "x[1][0] must be a finite number, got None"),
+            ((1.0, 2.0), "x must be a list of 2 entries, got (1.0, 2.0)"),
+        ],
+    )
+    def test_rejects(self, value, message):
+        with pytest.raises(ValueError) as info:
+            checks.reals("x", value, (2, 2))
+        assert str(info.value).startswith(message)
+
+    def test_accepts_nested_reals_as_floats(self):
+        values = checks.reals("x", [[1, 2.5], [Fraction(1, 2), -4]], (2, 2))
+        assert values == [[1.0, 2.5], [0.5, -4.0]]
+        assert all(type(v) is float for row in values for v in row)
+        assert checks.reals("x", [], (0,)) == []
+
+
+class TestPresent:
+    def test_missing_key(self):
+        with pytest.raises(ValueError, match=r"^x is missing$"):
+            checks.present("x", {"y": 1}, "x")
+
+    def test_returns_the_value_as_stored(self):
+        doc = {"x": None, "y": [1, "a"]}
+        assert checks.present("x", doc, "x") is None
+        assert checks.present("'y'", doc, "y") is doc["y"]
+
+
 PARAMETER_CLASSES = [
     SimConfig,
     HumanDriverParams,

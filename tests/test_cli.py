@@ -67,7 +67,9 @@ def malformed_model_documents(draw):
     """A valid model document with exactly one thing broken, as JSON text."""
     doc = json.loads(json.dumps(VALID_MODEL))
     fault = draw(
-        st.sampled_from(["drop", "count", "array", "entry", "shape", "box", "bound", "seed"])
+        st.sampled_from(
+            ["drop", "count", "array", "entry", "shape", "ragged", "box", "bound", "seed"]
+        )
     )
     if fault == "drop":
         del doc[draw(st.sampled_from(REQUIRED_KEYS))]
@@ -100,6 +102,17 @@ def malformed_model_documents(draw):
         else:
             k = draw(st.integers(0, 2))
             doc[key][k] = [doc[key][k][i:i + 4] for i in range(0, 16, 4)]
+    elif fault == "ragged":
+        # One means row a number short or long, or one entry of a means row,
+        # a covariance or a box bound nested a level too deep.
+        key, k = draw(st.sampled_from(["means", "covariances", "bound"])), draw(st.integers(0, 2))
+        if key == "means" and draw(st.booleans()):
+            doc[key][k] = doc[key][k][:3] if draw(st.booleans()) else doc[key][k] + [1.0]
+        elif key == "bound":
+            bounds = doc["truncation"][draw(st.sampled_from(["lower", "upper"]))]
+            bounds[k] = [bounds[k]]
+        else:
+            doc[key][k][draw(st.integers(0, 3))] = [doc[key][k][0]]
     elif fault == "box":
         doc["truncation"] = draw(NOT_LISTS.filter(lambda v: v is not None))
     elif fault == "bound":
@@ -491,6 +504,42 @@ class TestCondition:
         argv = ["condition", "--config", str(cfg), "--out", str(tmp_path), "--given", "v=5.0"]
         assert main(argv) == EXIT_USAGE
         assert "bad model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path,value,name",
+        [
+            (("means", 1), [1.0, 2.0, 3.0], "'means'[1]"),
+            (("means", 1, 2), [2.0], "'means'[1][2]"),
+            (("covariances", 1), [1.0, [2.0]], "'covariances'[1]"),
+            (("covariances", 0, 5), [0.0], "'covariances'[0][5]"),
+            (("truncation", "lower", 1), [0.0], "'lower'[1]"),
+            (("truncation", "upper", 3), [], "'upper'[3]"),
+        ],
+    )
+    def test_ragged_model_names_the_key(self, path, value, name):
+        doc = json.loads(json.dumps(VALID_MODEL))
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(ValueError) as info:
+            GaussianMixture.from_text(json.dumps(doc))
+        assert str(info.value).startswith(f"{name} must be ")
+
+    @pytest.mark.parametrize(
+        "old,new,name",
+        [
+            ('"weights": [\n    0.45', '"weights": [\n    NaN', "'weights'[0]"),
+            ('"fit_seed": null', '"fit_seed": 1e400', "'fit_seed'"),
+            ("null", "Infinity", "'upper'[0]"),
+        ],
+    )
+    def test_literal_non_finite_numbers_name_the_key(self, old, new, name):
+        text = reference_generator().to_text()
+        assert old in text
+        with pytest.raises(ValueError) as info:
+            GaussianMixture.from_text(text.replace(old, new, 1))
+        assert str(info.value).startswith(f"{name} must be ")
 
     @settings(max_examples=150, deadline=None)
     @given(document=malformed_model_documents())

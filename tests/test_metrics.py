@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from crossingsim.metrics import EvaluationReport, GateDecision, compute_report, write_series
 from crossingsim.sim import EpisodeResult, PairResult
@@ -263,6 +263,93 @@ class TestMalformedDocuments:
         doc, name = case
         with pytest.raises(ValueError, match=repr(name)):
             EvaluationReport.from_document(doc)
+
+    # Each value below is well typed, but contradicts what the primary
+    # values (n_pairs, tau, the four counts, the gate thresholds) give,
+    # or, for tau, gives a sigma out of float range or holds a ratio <= 0.
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_excluded", 7),
+            ("candidate_crashes", 9),
+            ("kappa", 0.9),
+            ("n_pairs", 1),
+            ("n_pairs", 0),
+            ("mu", 1.0000000000000002),
+            ("sigma", 0.0),
+            ("cv", math.nan),
+            ("running_mean", [0.8, 1.0, 1.1]),
+            ("baseline_timeouts", 1),
+            ("n_excluded", 0.0),
+            ("tau", [1.0, 1e300, 1.0]),
+            ("tau", [1.0, -1.0]),
+            ("tau", [0.8, 0.0, 1.0]),
+        ],
+    )
+    def test_contradiction_is_a_value_error_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=repr(key)):
+            EvaluationReport.from_document(dict(VALID_REPORT, **{key: value}))
+
+    def test_contradicting_gate_verdict(self):
+        doc = dict(VALID_REPORT, gate=dict(VALID_REPORT["gate"], passed=False))
+        with pytest.raises(ValueError, match="'gate.passed'"):
+            EvaluationReport.from_document(doc)
+
+    @pytest.mark.parametrize("side", ["candidate", "baseline"])
+    def test_failures_fit_in_the_excluded_pairs(self, side):
+        # 2 of 4 pairs excluded: 2 failures on a side load, 3 do not.
+        pairs = pairs_from_tau([0.9, 1.1])
+        pairs += [PairResult(i, episode(crashed=True), episode(timed_out=True)) for i in (2, 3)]
+        doc = json.loads(json.dumps(compute_report(pairs).to_document()))
+        assert doc[f"{side}_crashes"] + doc[f"{side}_timeouts"] == doc["n_excluded"] == 2
+        EvaluationReport.from_document(doc)
+        doc[f"{side}_timeouts"] += 1
+        with pytest.raises(ValueError, match=f"'{side}_crashes' plus '{side}_timeouts' is 3"):
+            EvaluationReport.from_document(doc)
+
+    def test_nan_matches_nan_only_when_tau_is_empty(self):
+        pairs = [PairResult(0, episode(crashed=True), episode(9.0))]
+        doc = json.loads(json.dumps(compute_report(pairs).to_document()))
+        assert EvaluationReport.from_document(doc).to_document()["tau"] == []
+        with pytest.raises(ValueError, match="'mu'"):
+            EvaluationReport.from_document(dict(doc, mu=1.0))
+        with pytest.raises(ValueError, match="'mu' must be a finite number, got nan"):
+            EvaluationReport.from_document(dict(VALID_REPORT, mu=math.nan))
+
+    def test_derived_reals_may_be_integers(self):
+        doc = compute_report(pairs_from_tau([1.0, 1.0])).to_document()
+        assert (doc["mu"], doc["sigma"], doc["kappa"]) == (1.0, 0.0, 0.0)
+        back = EvaluationReport.from_document(dict(doc, mu=1, sigma=0, kappa=0))
+        assert back.to_document() == doc
+
+
+OUTCOMES = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e308).map(episode),
+    st.floats(0.5, 60.0).map(episode),
+    st.builds(episode, crashed=st.just(True)),
+    st.builds(episode, timed_out=st.just(True)),
+)
+
+
+class TestRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(OUTCOMES, OUTCOMES), min_size=1, max_size=12),
+        gate=st.none() | st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 1.0)),
+    )
+    @example(pairs=[(episode(crashed=True), episode(9.0))], gate=None)
+    @example(pairs=[(episode(timed_out=True), episode(crashed=True))], gate=(1.0, 0.5))
+    @example(pairs=[(episode(4.5), episode(9.0))], gate=(1.0, 0.5))
+    @example(pairs=[(episode(1e308), episode(1.0))] * 2, gate=(1.0, 0.5))  # mu inf, cv NaN
+    def test_every_accepted_batch_survives(self, pairs, gate):
+        batch = [PairResult(i, cand, base) for i, (cand, base) in enumerate(pairs)]
+        try:
+            report = compute_report(batch, *(gate or (None, None)))
+        except ValueError:
+            reject()  # a time ratio that is not finite and positive, or sigma overflows
+        text = json.dumps(report.to_document())
+        back = EvaluationReport.from_document(json.loads(text))
+        assert json.dumps(back.to_document()) == text
 
 
 class TestSeries:

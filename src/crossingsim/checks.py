@@ -23,8 +23,6 @@ __all__ = ["integer", "real", "fields", "present", "reals"]
 
 def _finite(value: object, kind: type) -> float | None:
     """``value`` as a finite float; None for a bool, a non-``kind`` or a non-finite value."""
-    if type(value) is float:  # the common case, without the ABC check
-        return value if kind is numbers.Real and math.isfinite(value) else None
     if isinstance(value, bool) or not isinstance(value, kind):
         return None
     try:
@@ -73,6 +71,10 @@ def reals(name: str, value: object, shape: tuple[int, ...]) -> list:
     """
     if not isinstance(value, list) or len(value) != shape[0]:
         raise ValueError(f"{name} must be a list of {shape[0]} entries, got {value!r}")
-    if len(shape) == 1:
-        return [real(f"{name}[{i}]", entry) for i, entry in enumerate(value)]
-    return [reals(f"{name}[{i}]", entry, shape[1:]) for i, entry in enumerate(value)]
+    if len(shape) > 1:
+        return [reals(f"{name}[{i}]", entry, shape[1:]) for i, entry in enumerate(value)]
+    floats = [_finite(entry, numbers.Real) for entry in value]
+    for i, number in enumerate(floats):
+        if number is None:
+            real(f"{name}[{i}]", value[i])  # raises, naming the entry by its path
+    return floats

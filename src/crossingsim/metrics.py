@@ -107,11 +107,10 @@ class EvaluationReport:
 
         Raises:
             ValueError: not a version-1 report, or a key that is missing,
-                holds a value of the wrong type or a ``tau`` that
-                :func:`compute_report` refuses, breaks a count invariant
-                (``len(tau) <= n_pairs``, each side's crashes plus
-                time-outs at most ``n_pairs - len(tau)``) or contradicts
-                the values it is computed from (the message names the key).
+                holds a value of the wrong type, breaks a count invariant
+                (``len(tau) <= n_pairs``, ``len(running_mean) == len(tau)``,
+                each side's failures at most ``n_pairs - len(tau)``) or
+                contradicts the values it is computed from.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"a report document is a JSON object, got {type(doc).__name__}")
@@ -124,27 +123,33 @@ class EvaluationReport:
             raise ValueError(f"'gate' must be an object or null, got {gate_doc!r}")
         n_pairs = checks.integer("'n_pairs'", checks.present("'n_pairs'", doc, "n_pairs"), low=1)
         tau = checks.present("'tau'", doc, "tau")
-        if not isinstance(tau, list) or len(tau) > n_pairs:
-            raise ValueError(
-                f"'tau' must be a list of at most 'n_pairs' = {n_pairs} numbers, got {tau!r}"
-            )
+        if not isinstance(tau, list):
+            raise ValueError(f"'tau' must be a list, got {tau!r}")
         tau = checks.reals("'tau'", tau, (len(tau),))
+        if len(tau) > n_pairs:
+            raise ValueError(f"'n_pairs' is {n_pairs}, fewer than the {len(tau)} entries of 'tau'")
         counts = {
             key: checks.integer(repr(key), checks.present(repr(key), doc, key), low=0)
             for key in _COUNTS
         }
         for side in ("candidate", "baseline"):
-            failed = counts[f"{side}_crashes"] + counts[f"{side}_timeouts"]
-            if failed > n_pairs - len(tau):
-                raise ValueError(
-                    f"'{side}_crashes' plus '{side}_timeouts' is {failed}, more than the "
-                    f"{n_pairs - len(tau)} pairs that 'n_pairs' and 'tau' leave excluded"
-                )
+            # Every failed episode is an excluded pair; a side's crashes
+            # take the first of them, its time-outs what is left.
+            left = n_pairs - len(tau)
+            for key in (f"{side}_crashes", f"{side}_timeouts"):
+                if counts[key] > left:
+                    raise ValueError(f"{key!r} is {counts[key]}, more than the {left} pairs left")
+                left -= counts[key]
         gate = None if gate_doc is None else tuple(
             checks.real(f"'gate.{key}'", checks.present(f"'gate.{key}'", gate_doc, key))
             for key in ("mu_0", "kappa_0")
         )
         report = _report(n_pairs, tau, gate, **counts)
+        running_mean = checks.present("'running_mean'", doc, "running_mean")
+        if isinstance(running_mean, list) and len(running_mean) != len(tau):
+            raise ValueError(
+                f"'running_mean' has {len(running_mean)} entries, but 'tau' has {len(tau)}"
+            )
         derived = [
             (repr(key), doc, key, getattr(report, key))
             for key in ("running_mean", "n_excluded", "mu", "sigma", "cv", "kappa")
@@ -154,10 +159,7 @@ class EvaluationReport:
         for name, section, key, want in derived:
             value = checks.present(name, section, key)
             if not _agrees(name, value, want):
-                raise ValueError(
-                    f"{name} is {value!r}, but 'n_pairs', 'tau', the counts and the gate "
-                    f"give {want!r}"
-                )
+                raise ValueError(f"{name} is {value!r}, but recomputed it is {want!r}")
         return report
 
     def save(self, path: Union[str, Path]) -> None:
@@ -206,7 +208,7 @@ def compute_report(
             counts[f"{side}_timeouts"] += ep.timed_out
         ratio = pair.time_ratio
         if ratio is not None:
-            tau.append(checks.real(f"pair {pair.index}: tau", ratio))
+            tau.append(ratio)
 
     gate = None if mu_0 is None else (checks.real("mu_0", mu_0), checks.real("kappa_0", kappa_0))
     return _report(len(pairs), tau, gate, **counts)
@@ -221,8 +223,8 @@ def _report(
     Every derived value is computed here, for :func:`compute_report` and
     the reader alike.
     """
-    if any(t <= 0 for t in tau):
-        raise ValueError(f"'tau' must hold positive time ratios, got {list(tau)!r}")
+    if not all(0 < t < math.inf for t in tau):
+        raise ValueError(f"'tau' must hold finite positive time ratios, got {list(tau)!r}")
     kappa = (counts["candidate_crashes"] + counts["candidate_timeouts"]) / n_pairs
     running: list[float] = []
     total = 0.0
@@ -268,17 +270,14 @@ def _agrees(name: str, value: object, want: object) -> bool:
         return value is want
     if isinstance(want, int):
         return checks.integer(name, value) == want
-    if isinstance(want, float):
-        # A NaN or infinite want is matched by the stored float itself, so
-        # no NaN goes through checks.real.
-        if not (isinstance(value, float) and not math.isfinite(want)):
-            value = checks.real(name, value)
-        return value.hex() == want.hex()
-    return (
-        isinstance(value, list)
-        and len(value) == len(want)
-        and all(_agrees(f"{name}[{i}]", v, w) for i, (v, w) in enumerate(zip(value, want)))
-    )
+    if isinstance(want, tuple):
+        return isinstance(value, list) and len(value) == len(want) and all(
+            _agrees(name, v, w) for v, w in zip(value, want))
+    # A NaN or infinite want is matched by the stored float itself, so no
+    # NaN goes through checks.real.
+    if not (isinstance(value, float) and not math.isfinite(want)):
+        value = checks.real(name, value)
+    return value.hex() == want.hex()
 
 
 def write_series(report: EvaluationReport, path: Union[str, Path]) -> None:

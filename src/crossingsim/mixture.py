@@ -180,7 +180,7 @@ def _validate_covariance(cov: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(cov).all():
         raise ValueError(f"{what} must be finite")
     scale = float(np.abs(cov).max()) or 1.0
-    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10 * scale):
+    if not (np.abs(cov - cov.T) <= 1e-10 * scale).all():
         raise ValueError(f"{what} must be symmetric")
     try:
         np.linalg.cholesky(cov)

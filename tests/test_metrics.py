@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,7 +288,20 @@ class TestMalformedDocuments:
         ],
     )
     def test_contradiction_is_a_value_error_naming_the_key(self, key, value):
-        with pytest.raises(ValueError, match=repr(key)):
+        with pytest.raises(ValueError, match="^" + re.escape(repr(key))):
+            EvaluationReport.from_document(dict(VALID_REPORT, **{key: value}))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_pairs", 1, "'n_pairs' is 1, fewer than the 3 entries of 'tau'"),
+            ("n_excluded", 7, "'n_excluded' is 7, but recomputed it is 0"),
+            ("kappa", 0.9, "'kappa' is 0.9, but recomputed it is 0.0"),
+            ("tau", [1.0, 1.0], "'running_mean' has 3 entries, but 'tau' has 2"),
+        ],
+    )
+    def test_contradiction_message(self, key, value, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             EvaluationReport.from_document(dict(VALID_REPORT, **{key: value}))
 
     def test_contradicting_gate_verdict(self):
@@ -295,16 +309,27 @@ class TestMalformedDocuments:
         with pytest.raises(ValueError, match="'gate.passed'"):
             EvaluationReport.from_document(doc)
 
-    @pytest.mark.parametrize("side", ["candidate", "baseline"])
-    def test_failures_fit_in_the_excluded_pairs(self, side):
-        # 2 of 4 pairs excluded: 2 failures on a side load, 3 do not.
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("candidate_crashes", "'candidate_crashes' is 3, more than the 2 pairs left"),
+            ("candidate_timeouts", "'candidate_timeouts' is 1, more than the 0 pairs left"),
+            ("baseline_crashes", "'baseline_timeouts' is 2, more than the 1 pairs left"),
+            ("baseline_timeouts", "'baseline_timeouts' is 3, more than the 2 pairs left"),
+        ],
+    )
+    def test_failures_fit_in_the_excluded_pairs(self, key, message):
+        # 2 of 4 pairs excluded: 2 failures on a side load, 3 do not.  A
+        # side's crashes take the excluded pairs first, so one crash too
+        # many is reported against the time-outs it leaves no room for.
         pairs = pairs_from_tau([0.9, 1.1])
         pairs += [PairResult(i, episode(crashed=True), episode(timed_out=True)) for i in (2, 3)]
         doc = json.loads(json.dumps(compute_report(pairs).to_document()))
+        side = key.split("_")[0]
         assert doc[f"{side}_crashes"] + doc[f"{side}_timeouts"] == doc["n_excluded"] == 2
         EvaluationReport.from_document(doc)
-        doc[f"{side}_timeouts"] += 1
-        with pytest.raises(ValueError, match=f"'{side}_crashes' plus '{side}_timeouts' is 3"):
+        doc[key] += 1
+        with pytest.raises(ValueError, match=f"^{message}$"):
             EvaluationReport.from_document(doc)
 
     def test_nan_matches_nan_only_when_tau_is_empty(self):

@@ -607,6 +607,16 @@ class TestMixtureConstruction:
         with pytest.raises(ValueError):
             GaussianMixture(np.array([1.0]), np.zeros((1, 2)), cov)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_covariance_symmetric_to_1e_10_of_its_largest_entry(self, scale):
+        # The tolerance is absolute, 1e-10 times the largest |entry|.
+        def cov(gap):
+            return scale * np.array([[2.0, 0.5], [0.5 + gap, 1.0]])
+
+        GaussianComponent(np.zeros(2), cov(1.9e-10))
+        with pytest.raises(ValueError, match="^covariance must be symmetric$"):
+            GaussianComponent(np.zeros(2), cov(2.1e-10))
+
     def test_box_dimension_must_match(self):
         with pytest.raises(ValueError):
             GaussianMixture(

@@ -6,7 +6,7 @@ reactive pedestrians, and scores automated passing strategies against a
 mixture-derived human-driver baseline.
 """
 
-from crossingsim.scenario import Kinematics, time_advantage
+from crossingsim.scenario import time_advantage
 from crossingsim.mixture import (
     Conditioner,
     FitConfig,
@@ -45,7 +45,6 @@ from crossingsim.ingest import (
 )
 
 __all__ = [
-    "Kinematics",
     "time_advantage",
     "GaussianComponent",
     "GaussianMixture",

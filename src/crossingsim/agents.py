@@ -21,7 +21,6 @@ import numpy as np
 from crossingsim import checks
 from crossingsim.mixture import GaussianMixture
 from crossingsim.scenario import (
-    Kinematics,
     OBS_INV_RANGE,
     OBS_INV_TIME_ADVANTAGE,
     OBS_VEHICLE_SPEED,
@@ -270,25 +269,6 @@ class ModeQuery(NamedTuple):
     interval: tuple[float, float]
 
 
-def _advantage_or_inf(
-    longitudinal_gap: float, vehicle_speed: float, ped: Pedestrian
-) -> float:
-    """Time advantage against one pedestrian; inf wherever it is undefined."""
-    if longitudinal_gap <= 0 or vehicle_speed <= 0 or ped.walk_speed <= 0:
-        return math.inf
-    try:
-        return time_advantage(
-            Kinematics(
-                longitudinal_gap=longitudinal_gap,
-                lateral_gap=ped.lateral_gap,
-                vehicle_speed=vehicle_speed,
-                walk_speed=ped.walk_speed,
-            )
-        )
-    except (ZeroDivisionError, ValueError):
-        return math.inf
-
-
 def select_governing(
     longitudinal_gap: float,
     vehicle_speed: float,
@@ -304,7 +284,10 @@ def select_governing(
         return None
     return min(
         pedestrians,
-        key=lambda p: (_advantage_or_inf(longitudinal_gap, vehicle_speed, p), p.arrival_time),
+        key=lambda p: (
+            time_advantage(longitudinal_gap, p.lateral_gap, vehicle_speed, p.walk_speed),
+            p.arrival_time,
+        ),
     )
 
 
@@ -411,12 +394,20 @@ class SoftYieldStrategy:
         if self.decision_taken:
             if clock - self.decision_time >= self.plan.brake_duration:
                 return False  # braking phase over; committed profile persists
+            governing = self._governing
             current = (
-                _advantage_or_inf(longitudinal_gap, vehicle_speed, self._governing)
-                if self._governing is not None and not self._governing.finished
+                time_advantage(
+                    longitudinal_gap, governing.lateral_gap, vehicle_speed, governing.walk_speed
+                )
+                if governing is not None and not governing.finished
                 else math.inf
             )
-            if _advantage_or_inf(longitudinal_gap, vehicle_speed, candidate) >= current:
+            if (
+                time_advantage(
+                    longitudinal_gap, candidate.lateral_gap, vehicle_speed, candidate.walk_speed
+                )
+                >= current
+            ):
                 return False
         self.plan = soft_yield_decide(
             self.params,
@@ -548,8 +539,10 @@ class HumanDriver:
         governing = select_governing(longitudinal_gap, vehicle_speed, pedestrians)
         if governing is None:
             return self.resume(None)
+        adv = time_advantage(
+            longitudinal_gap, governing.lateral_gap, vehicle_speed, governing.walk_speed
+        )
         try:
-            adv = _advantage_or_inf(longitudinal_gap, vehicle_speed, governing)
             if adv == 0.0 or adv == math.inf:
                 raise ValueError(f"time advantage {adv} has no finite inverse")
             conditional = self.model.condition(

@@ -168,7 +168,10 @@ class EvaluationReport:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "EvaluationReport":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"report document is not valid JSON: {exc}") from exc
         return cls.from_document(doc)
 
 

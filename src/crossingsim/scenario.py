@@ -15,10 +15,8 @@ interactions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "Kinematics",
     "time_advantage",
     "OBS_DIM",
     "OBS_INV_RANGE",
@@ -38,53 +36,28 @@ OBS_INV_TIME_ADVANTAGE = 3
 OBS_COLUMNS = ("inv_R", "v", "v_p", "inv_T_adv")
 
 
-@dataclass(frozen=True)
-class Kinematics:
-    """Instantaneous state of one vehicle-pedestrian pair.
-
-    Attributes:
-        longitudinal_gap: metres from the vehicle front to the crossing
-            line; positive while approaching, negative once past.
-        lateral_gap: metres the pedestrian still has to walk to reach
-            the vehicle path line (never negative).
-        vehicle_speed: vehicle speed in m/s (never negative).
-        walk_speed: pedestrian speed in m/s (never negative).
-    """
-
-    longitudinal_gap: float
-    lateral_gap: float
-    vehicle_speed: float
-    walk_speed: float
-
-    def __post_init__(self) -> None:
-        for name in ("longitudinal_gap", "lateral_gap", "vehicle_speed", "walk_speed"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.lateral_gap < 0:
-            raise ValueError(f"lateral_gap must be >= 0, got {self.lateral_gap}")
-        if self.vehicle_speed < 0:
-            raise ValueError(f"vehicle_speed must be >= 0, got {self.vehicle_speed}")
-        if self.walk_speed < 0:
-            raise ValueError(f"walk_speed must be >= 0, got {self.walk_speed}")
-
-
-def time_advantage(kin: Kinematics) -> float:
+def time_advantage(
+    longitudinal_gap: float, lateral_gap: float, vehicle_speed: float, walk_speed: float
+) -> float:
     """Absolute gap between vehicle and pedestrian arrival times at the conflict point.
 
-    T_Adv = |TTC - L / v_p| with TTC = R / v, the plain kinematic
-    estimate that assumes the vehicle holds its current speed.  Small
-    values mean the two road users reach the shared zone nearly
-    simultaneously; the measure is symmetric in who arrives first.
+    T_Adv = |R / v - L / v_p|: R is the longitudinal gap from the vehicle
+    front to the crossing line, v the vehicle speed, L the lateral gap the
+    pedestrian still has to walk to the vehicle path, and v_p the walk
+    speed.  R / v is the plain kinematic time to the line, assuming the
+    vehicle holds its current speed.  Small values mean the two road users
+    reach the shared zone nearly simultaneously; the measure is symmetric
+    in who arrives first.
 
-    Raises:
-        ZeroDivisionError: if vehicle_speed or walk_speed is zero; the
-            caller decides the fallback for a stopped participant.
+    Returns ``math.inf`` where T_Adv is undefined: the vehicle at or past
+    the line (R <= 0), a stopped participant (v <= 0 or v_p <= 0), a
+    negative L, or any input that is not finite.
     """
-    if kin.vehicle_speed == 0.0:
-        raise ZeroDivisionError("time_advantage undefined for a stopped vehicle")
-    if kin.walk_speed == 0.0:
-        raise ZeroDivisionError("time_advantage undefined for a stopped pedestrian")
-    ttc = kin.longitudinal_gap / kin.vehicle_speed
-    return abs(ttc - kin.lateral_gap / kin.walk_speed)
-
+    if not (
+        0.0 < longitudinal_gap < math.inf
+        and 0.0 <= lateral_gap < math.inf
+        and 0.0 < vehicle_speed < math.inf
+        and 0.0 < walk_speed < math.inf
+    ):
+        return math.inf
+    return abs(longitudinal_gap / vehicle_speed - lateral_gap / walk_speed)

@@ -22,8 +22,9 @@ def derive_seed(master: int, label: str, index: int = 0) -> int:
     The same triple always yields the same seed; distinct triples yield
     independent-looking seeds.  Uses SHA-256 over a canonical encoding.
     """
-    if not isinstance(master, int) or not isinstance(index, int):
-        raise TypeError("master and index must be integers")
+    for value in (master, index):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError("master and index must be integers")
     payload = f"{master}:{label}:{index}".encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:_SEED_BYTES], "big")

@@ -550,6 +550,7 @@ def run_paired_experiments(
     """
     n_experiments = checks.integer("n_experiments", n_experiments, low=1)
     parallel = checks.integer("parallel", parallel, low=1)
+    master_seed = checks.integer("master_seed", master_seed)
     runner = partial(
         _run_pairs,
         config,

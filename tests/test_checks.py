@@ -179,6 +179,15 @@ class TestCountArguments:
                 SimConfig(), model, candidate, baseline, n_experiments, 1, parallel
             )
 
+    def test_master_seed(self):
+        model = self.model()
+        candidate = partial(SoftYieldStrategy, SoftYieldParams(), 9.0)
+        baseline = partial(HumanDriver, model, HumanDriverParams(), 5.0)
+        run = partial(run_paired_experiments, SimConfig(), model, candidate, baseline, 1)
+        with pytest.raises(ValueError, match="^master_seed must be an integer"):
+            run(True)
+        assert run(np.int64(1)) == run(1)
+
     def test_sample_count(self):
         with pytest.raises(ValueError, match="^count must be an integer"):
             self.model().sample(10**400, seed=0)

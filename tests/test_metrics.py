@@ -147,6 +147,14 @@ class TestSerialization:
         assert math.isnan(back.mu) and math.isnan(back.cv)
         assert back.kappa == 1.0
 
+    def test_truncated_file_is_a_value_error(self, tmp_path):
+        path = tmp_path / "report.json"
+        compute_report(pairs_from_tau([1.0])).save(path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        with pytest.raises(ValueError, match="^report document is not valid JSON: "):
+            EvaluationReport.load(path)
+
     def test_document_shape(self):
         doc = compute_report(pairs_from_tau([1.0])).to_document()
         assert doc["format"] == "crossingsim-report"

@@ -3,9 +3,9 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crossingsim.scenario import (
-    Kinematics,
     OBS_COLUMNS,
     OBS_DIM,
     OBS_INV_RANGE,
@@ -28,45 +28,57 @@ def test_column_layout_is_fixed():
     assert OBS_COLUMNS == ("inv_R", "v", "v_p", "inv_T_adv")
 
 
-class TestKinematics:
-    def test_negative_lateral_gap_rejected(self):
-        with pytest.raises(ValueError):
-            Kinematics(10.0, -0.1, 5.0, 1.5)
+# Arguments in signature order: R, L, v, v_p.
+DEFINED = (10.0, 4.0, 5.0, 1.0)
 
-    def test_negative_speeds_rejected(self):
-        with pytest.raises(ValueError):
-            Kinematics(10.0, 1.0, -5.0, 1.5)
-        with pytest.raises(ValueError):
-            Kinematics(10.0, 1.0, 5.0, -1.5)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            Kinematics(math.nan, 1.0, 5.0, 1.5)
+def _with(position, value):
+    args = list(DEFINED)
+    args[position] = value
+    return tuple(args)
 
-    def test_negative_longitudinal_gap_allowed(self):
-        # The vehicle can be past the line.
-        kin = Kinematics(-3.0, 1.0, 5.0, 1.5)
-        assert kin.longitudinal_gap == -3.0
+
+UNDEFINED = [
+    (0.0, 4.0, 5.0, 1.0),  # vehicle at the line
+    (-3.0, 4.0, 5.0, 1.0),  # vehicle past the line
+    (10.0, 4.0, 0.0, 1.0),  # stopped vehicle
+    (10.0, 4.0, 5.0, 0.0),  # stopped pedestrian
+    (10.0, -0.1, 5.0, 1.0),  # negative lateral gap
+] + [
+    _with(position, value)
+    for position in range(4)
+    for value in (math.nan, math.inf, -math.inf)
+]
 
 
 class TestTimeAdvantage:
     def test_hand_value(self):
         # TTC = 30/5 = 6 s, pedestrian needs 4.5/1.5 = 3 s, gap 3 s.
-        kin = Kinematics(30.0, 4.5, 5.0, 1.5)
-        assert time_advantage(kin) == pytest.approx(3.0, abs=1e-12)
+        assert time_advantage(30.0, 4.5, 5.0, 1.5) == pytest.approx(3.0, abs=1e-12)
 
     def test_symmetric_in_arrival_order(self):
-        early_vehicle = Kinematics(10.0, 4.0, 5.0, 1.0)  # TTC 2, ped 4
-        early_ped = Kinematics(20.0, 2.0, 5.0, 1.0)  # TTC 4, ped 2
-        assert time_advantage(early_vehicle) == pytest.approx(2.0)
-        assert time_advantage(early_ped) == pytest.approx(2.0)
-
-    def test_stopped_participants_raise(self):
-        with pytest.raises(ZeroDivisionError):
-            time_advantage(Kinematics(10.0, 4.0, 0.0, 1.0))
-        with pytest.raises(ZeroDivisionError):
-            time_advantage(Kinematics(10.0, 4.0, 5.0, 0.0))
+        early_vehicle = (10.0, 4.0, 5.0, 1.0)  # TTC 2, ped 4
+        early_ped = (20.0, 2.0, 5.0, 1.0)  # TTC 4, ped 2
+        assert time_advantage(*early_vehicle) == pytest.approx(2.0)
+        assert time_advantage(*early_ped) == pytest.approx(2.0)
 
     def test_convention_is_distance_over_speed(self):
-        kin = Kinematics(12.0, 3.0, 4.0, 1.0)
-        assert time_advantage(kin) == pytest.approx(abs(12.0 / 4.0 - 3.0 / 1.0))
+        assert time_advantage(12.0, 3.0, 4.0, 1.0) == pytest.approx(abs(12.0 / 4.0 - 3.0 / 1.0))
+
+    @pytest.mark.parametrize("args", UNDEFINED)
+    def test_undefined_is_inf(self, args):
+        assert time_advantage(*args) == math.inf
+
+    def test_lateral_gap_zero_is_defined(self):
+        # A pedestrian on the vehicle path: T_Adv is the time to the line.
+        assert time_advantage(10.0, 0.0, 5.0, 1.0) == 2.0
+
+    @given(
+        gap=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        lateral=st.floats(min_value=0.0, allow_infinity=False),
+        speed=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        walk=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_defined_is_the_formula_bit_for_bit(self, gap, lateral, speed, walk):
+        want = abs(gap / speed - lateral / walk)
+        assert time_advantage(gap, lateral, speed, walk).hex() == want.hex()

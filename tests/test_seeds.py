@@ -38,6 +38,8 @@ def test_non_integer_inputs_rejected():
         derive_seed("42", "arrivals", 0)
     with pytest.raises(TypeError):
         derive_seed(42, "arrivals", 1.5)
+    with pytest.raises(TypeError):
+        derive_seed(True, "arrivals", 0)
 
 
 def test_index_defaults_to_zero():

@@ -14,7 +14,7 @@ MODULES = ["crossingsim"] + [
 # The observation transform lost its last caller with the ingest.
 DELETED = [
     "TrajectoryLog", "read_trajectories", "write_trajectories", "extract_observations",
-    "ObservationVector", "to_observation",
+    "ObservationVector", "to_observation", "Kinematics",
 ]
 
 

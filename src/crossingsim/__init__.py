@@ -4,77 +4,22 @@ The package fits box-truncated Gaussian mixtures to vehicle-pedestrian
 passing observations, simulates unsignalized-crossing episodes against
 reactive pedestrians, and scores automated passing strategies against a
 mixture-derived human-driver baseline.
+
+Importing the package binds nothing: each public name is imported from
+the one module that defines it, and each layer loads only the layers
+below it.
+
+* Leaves, which import no numpy and no other module of the package:
+  :mod:`crossingsim.checks` (what counts as a number),
+  :mod:`crossingsim.normal` (scalar normal math),
+  :mod:`crossingsim.scenario` (passing geometry and model space) and
+  :mod:`crossingsim.seeds` (seed derivation).
+* Interaction model: :mod:`crossingsim.mixture` (the box-truncated
+  Gaussian mixture: fitting, selection, conditioning, mode search).
+* Simulation: :mod:`crossingsim.agents` (arrivals, walk speeds, driving
+  strategies) and :mod:`crossingsim.sim` (episodes and paired runs).
+* Evaluation: :mod:`crossingsim.metrics` (the evaluation report).
+* Pipeline: :mod:`crossingsim.ingest` (observation files and the
+  synthetic generator), :mod:`crossingsim.config` (the run configuration)
+  and :mod:`crossingsim.cli` (the command-line stages).
 """
-
-from crossingsim.scenario import time_advantage
-from crossingsim.mixture import (
-    Conditioner,
-    FitConfig,
-    GaussianComponent,
-    GaussianMixture,
-    TruncationBox,
-    bic,
-    conditional_mode,
-    em_fit,
-    select_components,
-    truncated_moments,
-)
-from crossingsim.agents import (
-    ArrivalSchedule,
-    HumanDriver,
-    HumanDriverParams,
-    SoftYieldParams,
-    SoftYieldStrategy,
-    decide_walk_speed,
-    sample_arrivals,
-    soft_yield_decide,
-)
-from crossingsim.sim import (
-    EpisodeResult,
-    PairResult,
-    SimConfig,
-    detect_crash,
-    run_episode,
-    run_paired_experiments,
-)
-from crossingsim.metrics import EvaluationReport, compute_report
-from crossingsim.ingest import (
-    ObservationMatrix,
-    generate_synthetic,
-    reference_generator,
-)
-
-__all__ = [
-    "time_advantage",
-    "GaussianComponent",
-    "GaussianMixture",
-    "TruncationBox",
-    "FitConfig",
-    "em_fit",
-    "truncated_moments",
-    "bic",
-    "select_components",
-    "conditional_mode",
-    "Conditioner",
-    "ArrivalSchedule",
-    "sample_arrivals",
-    "decide_walk_speed",
-    "SoftYieldParams",
-    "SoftYieldStrategy",
-    "soft_yield_decide",
-    "HumanDriverParams",
-    "HumanDriver",
-    "SimConfig",
-    "EpisodeResult",
-    "PairResult",
-    "run_episode",
-    "detect_crash",
-    "run_paired_experiments",
-    "EvaluationReport",
-    "compute_report",
-    "ObservationMatrix",
-    "generate_synthetic",
-    "reference_generator",
-]
-
-__version__ = "0.1.0"

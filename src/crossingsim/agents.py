@@ -394,13 +394,13 @@ class SoftYieldStrategy:
         if self.decision_taken:
             if clock - self.decision_time >= self.plan.brake_duration:
                 return False  # braking phase over; committed profile persists
-            governing = self._governing
+            governing = self._governing  # set with decision_taken
             current = (
-                time_advantage(
+                math.inf
+                if governing.finished
+                else time_advantage(
                     longitudinal_gap, governing.lateral_gap, vehicle_speed, governing.walk_speed
                 )
-                if governing is not None and not governing.finished
-                else math.inf
             )
             if (
                 time_advantage(

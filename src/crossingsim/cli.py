@@ -15,7 +15,6 @@ failure, 3 gate fail.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from functools import partial
@@ -150,10 +149,7 @@ def cmd_gen_data(config: RunConfig, args: argparse.Namespace) -> int:
     )
     obs_path = _resolve(out_dir, config.paths.observations)
     write_observations(matrix, obs_path)
-    gen_path = _resolve(out_dir, config.paths.generator)
-    gen_path.write_text(
-        json.dumps(matrix.generator, indent=2) + "\n", encoding="utf-8"
-    )
+    generator.save(_resolve(out_dir, config.paths.generator))
     print(f"wrote {len(matrix)} observations to {obs_path}")
     return EXIT_OK
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -36,14 +35,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObservationMatrix:
-    """n x 4 matrix of observation rows.
-
-    Synthetic matrices carry the serialized generator document in
-    ``generator``, so the ground truth travels with the sample.
-    """
+    """n x 4 matrix of observation rows."""
 
     data: np.ndarray
-    generator: Optional[dict] = field(default=None)
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=float)
@@ -109,19 +103,13 @@ def write_observations(matrix: ObservationMatrix, path: Union[str, Path]) -> Non
 
 
 def generate_synthetic(model: GaussianMixture, n: int, seed: int) -> ObservationMatrix:
-    """Draw n observation rows from a 4-D positive-orthant model.
-
-    The returned matrix embeds the generator's own serialized document,
-    so downstream fits can be compared against the ground truth that
-    produced the data.
-    """
+    """Draw n observation rows from a 4-D positive-orthant model."""
     if model.dim != OBS_DIM:
         raise ValueError(f"generator must be {OBS_DIM}-D, got dim {model.dim}")
     box = model.truncation
     if box is None or not ((box.lower == 0).all() and np.isposinf(box.upper).all()):
         raise ValueError("generator must be truncated to the positive orthant")
-    data = model.sample(n, seed)  # which checks n as its count
-    return ObservationMatrix(data, generator=json.loads(model.to_text()))
+    return ObservationMatrix(model.sample(n, seed))  # which checks n as its count
 
 
 def reference_generator() -> GaussianMixture:

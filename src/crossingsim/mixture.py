@@ -1488,7 +1488,7 @@ def select_components(
         try:
             model, _ = em_fit(data, cfg)
             value = bic(model, data)
-        except (ValueError, DegenerateTruncationError) as exc:
+        except ValueError as exc:  # DegenerateTruncationError included
             failures.append((k, str(exc)))
             continue
         rate = None

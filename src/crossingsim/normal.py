@@ -1,11 +1,11 @@
 """Scalar normal math: a bit-exact port of Cephes' normal CDF, and the
 closed-form mass, mean and variance of a normal truncated to an interval.
 
-This is a leaf module: it imports ``math`` and numpy at most, and nothing
-from crossingsim, so any module of the package can use it and it never
-loads scipy.  The 1-D queries of the box-truncated mixture (the walk-speed
-draw, the human driver's conditional mode, the 1-D EM) take their box
-masses and moments from here, in Python floats.
+This is a leaf module: it imports only ``math``, so any module of the
+package can use it, and it loads no numpy and no scipy.  The 1-D queries
+of the box-truncated mixture (the walk-speed draw, the human driver's
+conditional mode, the 1-D EM) take their box masses and moments from
+here, in Python floats.
 
 It also owns the policy for a box that holds no mass: a box mass below
 ``_MASS_FLOOR`` counts as none, and the code that finds one raises

@@ -51,7 +51,9 @@ def time_advantage(
 
     Returns ``math.inf`` where T_Adv is undefined: the vehicle at or past
     the line (R <= 0), a stopped participant (v <= 0 or v_p <= 0), a
-    negative L, or any input that is not finite.
+    negative L, or any input that is not finite.  It is undefined too where
+    both quotients overflow to inf (R = L = 1e308 and v = v_p = 1e-10, say),
+    whose difference is NaN.
     """
     if not (
         0.0 < longitudinal_gap < math.inf
@@ -60,4 +62,5 @@ def time_advantage(
         and 0.0 < walk_speed < math.inf
     ):
         return math.inf
-    return abs(longitudinal_gap / vehicle_speed - lateral_gap / walk_speed)
+    advantage = abs(longitudinal_gap / vehicle_speed - lateral_gap / walk_speed)
+    return math.inf if math.isnan(advantage) else advantage

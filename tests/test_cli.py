@@ -226,6 +226,8 @@ class TestGenData:
         doc = json.loads((tmp_path / "generator.json").read_text())
         assert doc["format"] == "crossingsim-mixture"
         assert len(doc["weights"]) == 3
+        written = (tmp_path / "generator.json").read_bytes()
+        assert written == reference_generator().to_text().encode()
 
     def test_zero_rows_gives_header_only_file(self, tmp_path):
         cfg = write_config(tmp_path, RunConfig(ingest=IngestConfig(n_synthetic=0)))

@@ -1,15 +1,18 @@
 """Import cost: no stage loads scipy, and only a parallel run the process pool.
 
 A fresh interpreter runs the stages in process and reports, after each,
-which scipy modules and process-pool modules it has loaded.  Another
-imports the scalar normal layer alone, which loads no other module of
-the package.
+which scipy modules and process-pool modules it has loaded.  Others
+import one module each: the package itself binds and loads nothing, the
+leaf modules load no other module of the package and no numpy, and the
+mixture loads no layer above it.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import crossingsim
 
@@ -75,23 +78,41 @@ def test_scipy_special_and_linalg_load_only_when_needed(tmp_path):
         assert report[stage] == {"status": 0, "loaded": []}, stage
 
 
-# The package's __init__ imports every module, so the child puts a bare
-# package in its place and imports crossingsim.normal alone.
-LEAF = """
-import json, sys, types
-package = types.ModuleType("crossingsim")
-package.__path__ = [sys.argv[1] + "/crossingsim"]
-sys.modules["crossingsim"] = package
-import crossingsim.normal
-print(json.dumps(sorted(
-    name for name in sys.modules if name.split(".")[0] in ("crossingsim", "scipy")
-)))
+# Imports one module in a fresh interpreter and reports the package, numpy
+# and scipy modules that are then loaded, and the module's public names.
+LOADS = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+module = importlib.import_module(sys.argv[2])
+print(json.dumps({
+    "loaded": sorted(
+        name for name in sys.modules
+        if name.split(".")[0] in ("crossingsim", "numpy", "scipy")
+    ),
+    "public": [name for name in dir(module) if not name.startswith("_")],
+}))
 """
 
 
-def test_normal_layer_imports_no_other_module_of_the_package():
+def _loads(module: str) -> dict:
     child = subprocess.run(
-        [sys.executable, "-c", LEAF, SRC], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", LOADS, SRC, module], capture_output=True, text=True, timeout=60
     )
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == ["crossingsim", "crossingsim.normal"]
+    return json.loads(child.stdout)
+
+
+@pytest.mark.parametrize("leaf", ["checks", "normal", "scenario", "seeds"])
+def test_leaf_module_loads_no_other_module_and_no_numpy(leaf):
+    assert _loads(f"crossingsim.{leaf}")["loaded"] == ["crossingsim", f"crossingsim.{leaf}"]
+
+
+def test_mixture_loads_no_layer_above_it():
+    loaded = _loads("crossingsim.mixture")["loaded"]
+    above = ["agents", "sim", "metrics", "ingest", "config", "cli"]
+    assert [name for name in above if f"crossingsim.{name}" in loaded] == []
+
+
+def test_package_binds_nothing_and_loads_no_module():
+    report = _loads("crossingsim")
+    assert report == {"loaded": ["crossingsim"], "public": []}

@@ -1,7 +1,5 @@
 """Observation files, the observation matrix, and the synthetic generator."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -90,13 +88,6 @@ class TestGenerateSynthetic:
         matrix = generate_synthetic(model, 200, seed=21)
         assert len(matrix) == 200
         np.testing.assert_array_equal(matrix.data, model.sample(200, seed=21))
-
-    def test_generator_document_embedded(self):
-        model = reference_generator()
-        matrix = generate_synthetic(model, 5, seed=0)
-        assert matrix.generator == json.loads(model.to_text())
-        rebuilt = GaussianMixture.from_text(json.dumps(matrix.generator))
-        assert rebuilt == model
 
     def test_zero_rows(self):
         matrix = generate_synthetic(reference_generator(), 0, seed=0)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from crossingsim.scenario import (
     OBS_COLUMNS,
@@ -44,6 +44,7 @@ UNDEFINED = [
     (10.0, 4.0, 0.0, 1.0),  # stopped vehicle
     (10.0, 4.0, 5.0, 0.0),  # stopped pedestrian
     (10.0, -0.1, 5.0, 1.0),  # negative lateral gap
+    (1e308, 1e308, 1e-10, 1e-10),  # both quotients overflow: inf - inf
 ] + [
     _with(position, value)
     for position in range(4)
@@ -81,4 +82,11 @@ class TestTimeAdvantage:
     )
     def test_defined_is_the_formula_bit_for_bit(self, gap, lateral, speed, walk):
         want = abs(gap / speed - lateral / walk)
+        assume(not math.isnan(want))  # inf - inf: undefined, so inf
         assert time_advantage(gap, lateral, speed, walk).hex() == want.hex()
+
+    @given(
+        args=st.tuples(*(st.floats(min_value=0.0, max_value=1e308) for _ in range(4)))
+    )
+    def test_never_nan_on_finite_nonnegative_inputs(self, args):
+        assert not math.isnan(time_advantage(*args))
